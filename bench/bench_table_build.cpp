@@ -1,16 +1,9 @@
-// A/B benchmark of the neighbor-table build pipelines at Fig. 3 scenario
-// sizes: the two-pass CSR builder (count -> scan -> fill, default) against
-// the legacy pair-sort pipeline (kernel -> sort_by_key -> D2H), each under
-// both scan modes (full pair evaluation vs the half-comparison scan that
-// tests each candidate pair once and expands symmetry on the host). A
-// four-variant reuse sweep on one device then shows the buffer pool paying
-// the pinned page-lock cost only on the first variant.
-//
-// Expected shape: CSR wins both host wall-clock and modeled K20c device
-// seconds — it drops the device sort, halves the D2H bytes (bare PointId
-// values instead of (key, value) pairs), and issues no result-set atomics
-// (pair mode pays one bulk reservation per 128-pair staged flush, itself
-// >= 10x fewer atomics than the historical one-per-pair scheme).
+// Benchmark of the two-pass CSR neighbor-table build (count -> scan ->
+// fill) at Fig. 3 scenario sizes under both scan modes (full pair
+// evaluation vs the half-comparison scan that tests each candidate pair
+// once and expands symmetry on the host). A four-variant reuse sweep on
+// one device then shows the buffer pool paying the pinned page-lock cost
+// only on the first variant.
 //
 // A sharded-scaling sweep (schema v4) then builds the same workloads
 // spatially partitioned across k = 1..4 simulated devices (a grid-row slab
@@ -19,7 +12,7 @@
 // edge count; the bench fails unless k=4 reaches >= 3.2x modeled speedup
 // on at least one workload.
 //
-// Emits BENCH_table_build.json (schema_version 8) alongside the
+// Emits BENCH_table_build.json (schema_version 9) alongside the
 // human-readable table. The JSON is self-describing: a `scenario` block
 // records the scale factor, trial count, and the exact generator seed and
 // size of every dataset, so a stored result can be reproduced bit-for-bit.
@@ -34,15 +27,13 @@
 // response time while materializing zero table bytes and producing labels
 // bit-identical to batch DBSCAN.
 //
-// The quality frontier (schema 8) prices the approximate clustering modes
-// at 10x the fused-matrix sizes, where the exact build's quadratic
-// neighbor search is the bottleneck the quality knob exists to break:
-// exact vs subsampled SNG at s = 0.1 / 0.3 vs the cell graph on a skewed,
-// a uniform, and a well-separated workload. Its gates: each approximate
-// mode reaches >= 5x modeled speedup over exact on at least one workload,
-// every approximate mode scores rand index >= 0.99 on the separated
-// workload, and subsampled labels are bit-identical across two runs with
-// the same seed.
+// The quality frontier (schema 9) prices cell-graph clustering at 10x the
+// fused-matrix sizes, where the exact build's quadratic neighbor search
+// is the bottleneck the cell graph exists to break: exact vs cell graph
+// on a skewed, a uniform, and a well-separated workload. Its gates: the
+// cell graph reaches >= 5x modeled speedup over exact on at least one
+// workload, scores rand index >= 0.99 on the separated workload, replays
+// bit-identical labels, and never materializes a table.
 //
 // The run ends with the disabled-tracing overhead guard: it counts the
 // TRACE sites one build executes, microbenchmarks the disabled fast path
@@ -75,8 +66,7 @@
 
 namespace {
 
-struct ModeResult {
-  std::string mode;
+struct ScanResult {
   std::string scan;               ///< "full" or "half"
   double wall_seconds = 0.0;
   double modeled_seconds = 0.0;
@@ -89,15 +79,12 @@ struct ModeResult {
   std::uint64_t kernel_global_bytes = 0;
 };
 
-ModeResult run_mode(cudasim::Device& device, const hdbscan::GridIndex& index,
-                    float eps, hdbscan::TableBuildMode mode,
-                    hdbscan::ScanMode scan) {
+ScanResult run_scan(cudasim::Device& device, const hdbscan::GridIndex& index,
+                    float eps, hdbscan::ScanMode scan) {
   using namespace hdbscan;
-  ModeResult r;
-  r.mode = mode == TableBuildMode::kCsrTwoPass ? "csr_two_pass" : "pair_sort";
+  ScanResult r;
   r.scan = scan == ScanMode::kHalf ? "half" : "full";
   BatchPolicy policy;
-  policy.build_mode = mode;
   policy.scan_mode = scan;
   NeighborTableBuilder builder(device, policy);
   BuildReport report;
@@ -132,21 +119,21 @@ ModeResult run_mode(cudasim::Device& device, const hdbscan::GridIndex& index,
 
 int main() {
   using namespace hdbscan;
-  bench::banner("Table-build A/B — two-pass CSR vs pair-sort",
-                "Fig. 3 workload sizes; tentpole pipeline comparison");
+  bench::banner("Table build — two-pass CSR, full vs half scan",
+                "Fig. 3 workload sizes");
 
   struct Row {
     std::string dataset;
     float eps;
     std::size_t n = 0;
     std::uint64_t seed = 0;
-    std::vector<ModeResult> modes;
+    std::vector<ScanResult> scans;
   };
   std::vector<Row> rows;
 
   // eps values from the Fig. 3 sweeps, chosen where the neighborhood
   // degree is representative (sparser settings make the fixed per-point
-  // offsets array and per-thread flush dominate both pipelines equally).
+  // offsets array dominate both scan modes equally).
   for (const auto& [dataset, eps] :
        std::vector<std::pair<std::string, float>>{{"SW1", 0.3f},
                                                   {"SDSS1", 0.5f}}) {
@@ -155,28 +142,24 @@ int main() {
     cudasim::Device device = bench::make_device();
 
     Row row{dataset, eps, points.size(), data::dataset_seed(dataset), {}};
-    for (const TableBuildMode mode :
-         {TableBuildMode::kCsrTwoPass, TableBuildMode::kPairSort}) {
-      for (const ScanMode scan : {ScanMode::kFull, ScanMode::kHalf}) {
-        row.modes.push_back(run_mode(device, index, eps, mode, scan));
-      }
+    for (const ScanMode scan : {ScanMode::kFull, ScanMode::kHalf}) {
+      row.scans.push_back(run_scan(device, index, eps, scan));
     }
 
     std::printf("\n  [%s]  eps = %.2f  |T| = %llu pairs\n", dataset.c_str(),
                 eps,
-                static_cast<unsigned long long>(row.modes[0].total_pairs));
-    std::printf("  %-13s %-5s %9s %10s %12s %12s %14s\n", "mode", "scan",
-                "wall (s)", "model (s)", "flops", "D2H bytes", "pairs/s");
-    for (const ModeResult& r : row.modes) {
-      std::printf("  %-13s %-5s %9.3f %10.4f %12llu %12llu %14.3e\n",
-                  r.mode.c_str(), r.scan.c_str(), r.wall_seconds,
-                  r.modeled_seconds,
+                static_cast<unsigned long long>(row.scans[0].total_pairs));
+    std::printf("  %-5s %9s %10s %12s %12s %14s\n", "scan", "wall (s)",
+                "model (s)", "flops", "D2H bytes", "pairs/s");
+    for (const ScanResult& r : row.scans) {
+      std::printf("  %-5s %9.3f %10.4f %12llu %12llu %14.3e\n",
+                  r.scan.c_str(), r.wall_seconds, r.modeled_seconds,
                   static_cast<unsigned long long>(r.kernel_flops),
                   static_cast<unsigned long long>(r.d2h_bytes),
                   r.pairs_per_second);
     }
-    const ModeResult& csr_full = row.modes[0];
-    const ModeResult& csr_half = row.modes[1];
+    const ScanResult& csr_full = row.scans[0];
+    const ScanResult& csr_half = row.scans[1];
     std::printf("  half-csr vs full-csr: %.2fx wall, %.2fx modeled,"
                 " %.2fx flops, %.2fx D2H (equal output: %s)\n",
                 csr_full.wall_seconds / csr_half.wall_seconds,
@@ -430,29 +413,27 @@ int main() {
         stream_grid.modeled_seconds / fused_bvh.modeled_seconds);
   }
 
-  // --- quality frontier: approximate modes at 10x n (schema 8) -------
-  // Exact vs subsampled SNG (s = 0.1 / 0.3, fixed seed) vs the cell
-  // graph, each end-to-end through hybrid_dbscan, at 10x the fused-matrix
-  // point counts in the same areas — the density regime where the exact
-  // build's quadratic neighbor search dominates and the quality knob
-  // earns its keep. The skewed and uniform workloads show the throughput
+  // --- quality frontier: cell graph at 10x n (schema 9) --------------
+  // Exact vs the cell graph, each end-to-end through hybrid_dbscan, at
+  // 10x the fused-matrix point counts in the same areas — the density
+  // regime where the exact build's quadratic neighbor search dominates
+  // and the cell graph earns its keep. The skewed and uniform workloads show the throughput
   // frontier; the well-separated cluster grid (clusters of ~1500 points
   // on a 20-unit pitch, no inter-cluster edge possible at its eps) is
   // where any correct clustering recovers the exact partition, so its
   // rand-index gate is sharp rather than statistical. Each config runs
-  // once: the gates read modeled seconds, which are deterministic, and
-  // the subsampled determinism check needs a second run of s = 0.3 only.
+  // once (the gates read modeled seconds, which are deterministic); the
+  // cell graph runs a second time for the replay check.
   // Modeled seconds exclude the grid-index build — it is a function of
   // (dataset, eps) only, identical across every quality config, and the
   // single-device rows above exclude it as setup for the same reason.
   struct QualityCell {
     std::string config;
-    float sample_rate = 1.0f;
     double wall_seconds = 0.0;
     double modeled_seconds = 0.0;
     double speedup = 1.0;          ///< exact modeled / this modeled
     double rand_vs_exact = 1.0;
-    bool deterministic = true;     ///< same seed, two runs, same labels
+    bool deterministic = true;     ///< two runs, same labels
     bool table_materialized = true;
     std::uint64_t pairs = 0;  ///< kernel pairs, or cell-graph distance tests
   };
@@ -505,11 +486,10 @@ int main() {
           QualityWorkload{"separated", &separated_points, 0.5f, 8}}) {
       QualityRow row{w.scenario, w.eps, w.minpts, w.points->size(), {}};
 
-      const auto run_config = [&](const char* name, QualitySpec q,
+      const auto run_config = [&](const char* name, ClusterQuality q,
                                   std::vector<std::int32_t>* labels_out) {
         QualityCell cell;
         cell.config = name;
-        cell.sample_rate = q.sampled() ? q.sample_rate : 1.0f;
         BatchPolicy policy;
         policy.quality = q;
         cudasim::Device device = bench::make_device();
@@ -528,25 +508,18 @@ int main() {
       };
 
       std::vector<std::int32_t> exact_labels;
-      row.cells.push_back(run_config("exact", {}, &exact_labels));
+      row.cells.push_back(
+          run_config("exact", ClusterQuality::kExact, &exact_labels));
 
-      const QualitySpec sub01{ClusterQuality::kSubsampled, 0.1f, 42};
-      const QualitySpec sub03{ClusterQuality::kSubsampled, 0.3f, 42};
       std::vector<std::int32_t> labels;
-      row.cells.push_back(run_config("subsampled-0.1", sub01, &labels));
-      row.cells.back().rand_vs_exact = rand_index(labels, exact_labels);
-
-      row.cells.push_back(run_config("subsampled-0.3", sub03, &labels));
+      row.cells.push_back(
+          run_config("cellgraph", ClusterQuality::kCellGraph, &labels));
       row.cells.back().rand_vs_exact = rand_index(labels, exact_labels);
       {
         std::vector<std::int32_t> replay;
-        (void)run_config("subsampled-0.3", sub03, &replay);
+        (void)run_config("cellgraph", ClusterQuality::kCellGraph, &replay);
         row.cells.back().deterministic = replay == labels;
       }
-
-      row.cells.push_back(
-          run_config("cellgraph", {ClusterQuality::kCellGraph}, &labels));
-      row.cells.back().rand_vs_exact = rand_index(labels, exact_labels);
 
       const double exact_modeled = row.cells.front().modeled_seconds;
       for (QualityCell& cell : row.cells) {
@@ -570,32 +543,24 @@ int main() {
       quality_rows.push_back(std::move(row));
     }
 
-    // The gates: each approximate mode must justify itself at 10x n with
-    // >= 5x modeled speedup on at least one workload; on the separated
-    // workload every approximate mode must stay within rand index 0.99 of
-    // exact; subsampled labels must replay bit-identically per seed; and
-    // the cell graph must never materialize a table.
-    bool sub_5x = false;
+    // The gates: the cell graph must justify itself at 10x n with >= 5x
+    // modeled speedup on at least one workload, stay within rand index
+    // 0.99 of exact on the separated workload, replay bit-identically, and
+    // never materialize a table.
     bool cg_5x = false;
     for (const QualityRow& row : quality_rows) {
       for (const QualityCell& c : row.cells) {
         if (c.config == "exact") continue;
-        quality_ok = quality_ok && c.deterministic;
-        if (std::string_view(c.config).starts_with("subsampled")) {
-          sub_5x = sub_5x || c.speedup >= 5.0;
-        }
-        if (c.config == "cellgraph") {
-          cg_5x = cg_5x || c.speedup >= 5.0;
-          quality_ok = quality_ok && !c.table_materialized;
-        }
+        quality_ok = quality_ok && c.deterministic && !c.table_materialized;
+        cg_5x = cg_5x || c.speedup >= 5.0;
         if (row.scenario == "separated") {
           quality_ok = quality_ok && c.rand_vs_exact >= 0.99;
         }
       }
     }
-    quality_ok = quality_ok && sub_5x && cg_5x;
+    quality_ok = quality_ok && cg_5x;
     std::printf(
-        "  approximate modes reach >= 5x modeled speedup at 10x n with"
+        "  cell graph reaches >= 5x modeled speedup at 10x n with"
         " rand index >= 0.99 on the separated workload: %s\n",
         quality_ok ? "PASS" : "FAIL");
   }
@@ -900,7 +865,7 @@ int main() {
   }
   std::fprintf(out,
                "{\n  \"benchmark\": \"table_build\",\n"
-               "  \"schema_version\": 8,\n"
+               "  \"schema_version\": 9,\n"
                "  \"scenario\": {\n"
                "    \"scale\": %.4f,\n"
                "    \"trials\": %d,\n"
@@ -919,27 +884,27 @@ int main() {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::fprintf(out,
-                 "    {\"dataset\": \"%s\", \"eps\": %.3f, \"modes\": [\n",
+                 "    {\"dataset\": \"%s\", \"eps\": %.3f, \"scans\": [\n",
                  row.dataset.c_str(), row.eps);
-    for (std::size_t m = 0; m < row.modes.size(); ++m) {
-      const ModeResult& r = row.modes[m];
+    for (std::size_t m = 0; m < row.scans.size(); ++m) {
+      const ScanResult& r = row.scans[m];
       std::fprintf(
           out,
-          "      {\"mode\": \"%s\", \"scan\": \"%s\", "
+          "      {\"scan\": \"%s\", "
           "\"wall_seconds\": %.6f, "
           "\"modeled_seconds\": %.6f, \"pairs_per_second\": %.3e, "
           "\"expand_seconds\": %.6f, "
           "\"total_pairs\": %llu, \"d2h_bytes\": %llu, "
           "\"atomic_ops\": %llu, \"kernel_flops\": %llu, "
           "\"kernel_global_bytes\": %llu}%s\n",
-          r.mode.c_str(), r.scan.c_str(), r.wall_seconds, r.modeled_seconds,
+          r.scan.c_str(), r.wall_seconds, r.modeled_seconds,
           r.pairs_per_second, r.expand_seconds,
           static_cast<unsigned long long>(r.total_pairs),
           static_cast<unsigned long long>(r.d2h_bytes),
           static_cast<unsigned long long>(r.atomic_ops),
           static_cast<unsigned long long>(r.kernel_flops),
           static_cast<unsigned long long>(r.kernel_global_bytes),
-          m + 1 < row.modes.size() ? "," : "");
+          m + 1 < row.scans.size() ? "," : "");
     }
     std::fprintf(out, "    ]}%s\n", i + 1 < rows.size() ? "," : "");
   }
@@ -1009,12 +974,12 @@ int main() {
       const QualityCell& cell = row.cells[c];
       std::fprintf(
           out,
-          "        {\"config\": \"%s\", \"sample_rate\": %.2f, "
+          "        {\"config\": \"%s\", "
           "\"wall_seconds\": %.6f, \"modeled_seconds\": %.6f, "
           "\"modeled_speedup_vs_exact\": %.4f, "
           "\"rand_index_vs_exact\": %.6f, \"deterministic\": %s, "
           "\"table_materialized\": %s, \"pairs\": %llu}%s\n",
-          cell.config.c_str(), cell.sample_rate, cell.wall_seconds,
+          cell.config.c_str(), cell.wall_seconds,
           cell.modeled_seconds, cell.speedup, cell.rand_vs_exact,
           cell.deterministic ? "true" : "false",
           cell.table_materialized ? "true" : "false",

@@ -16,8 +16,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <cstdio>
+#include <cstring>
 
 namespace hdbscan {
 
@@ -32,8 +33,14 @@ struct RequestContext {
 
   [[nodiscard]] bool valid() const noexcept { return request_id != 0; }
 
+  /// Copies `name`, truncated to fit, always NUL-terminated.
   void set_tenant(const char* name) noexcept {
-    std::snprintf(tenant, sizeof(tenant), "%s", name == nullptr ? "" : name);
+    std::size_t len = 0;
+    if (name != nullptr) {
+      while (len + 1 < sizeof(tenant) && name[len] != '\0') ++len;
+      std::memcpy(tenant, name, len);
+    }
+    tenant[len] = '\0';
   }
 };
 

@@ -15,8 +15,8 @@
 //     three streams this yields exactly n_b = 3 (one batch per stream).
 //
 // The planner additionally respects a device-memory cap: if three stream
-// buffers (plus the sort's scratch duplicate) would not fit alongside the
-// index, b_b shrinks and n_b grows accordingly.
+// buffers would not fit alongside the index, b_b shrinks and n_b grows
+// accordingly.
 #pragma once
 
 #include <cstdint>
@@ -29,32 +29,19 @@
 
 namespace hdbscan {
 
-/// How each batch's neighbor pairs are materialized and shipped to the
-/// host.
-enum class TableBuildMode {
-  /// Two-pass CSR (default): count kernel -> exclusive scan -> fill kernel
-  /// writing values into exact per-point slots. No device sort, no per-pair
-  /// keys on the wire (half the D2H bytes), overflow splits only when the
-  /// exact batch size exceeds the buffer (known before the fill pass runs).
-  kCsrTwoPass,
-  /// Legacy pair pipeline (paper Alg. 4): kernel appends (key, value)
-  /// pairs through the atomic cursor, device sort_by_key groups keys, the
-  /// full pairs go over PCIe. Kept for A/B benchmarking and as the
-  /// fallback the ablations compare against.
-  kPairSort,
-};
-
 /// How the builder reacts to injected (or, on real hardware, actual)
 /// device faults — the degradation ladder: retry transient kernel faults,
-/// shrink batches on allocation failure, fail work over from a lost device
+/// shrink buffers on allocation failure, fail work over from a lost device
 /// to the survivors, and finally fall back to the host builder when no
 /// device remains.
 struct ResiliencePolicy {
   /// Retries of one batch after TransientKernelFault before it becomes a
   /// hard error (the launch did no work, so a retry is always safe).
   unsigned max_transient_retries = 2;
-  /// Times one batch may be split in two after DeviceOutOfMemory before
-  /// the allocation failure becomes a hard error.
+  /// Times DeviceOutOfMemory may shrink the work before it becomes a hard
+  /// error: the stream-context setup halves the planned buffer (the
+  /// per-batch path allocates nothing); a sharded build benches a device
+  /// after this many out-of-memory strikes.
   unsigned max_alloc_retries = 3;
   /// Requeue a lost device's unfinished batches onto surviving devices.
   /// Safe because strided batches cover disjoint key sets and a batch's
@@ -78,11 +65,8 @@ struct BatchPolicy {
   /// directly (callers that already know the result size, e.g. repeated
   /// runs; also how tests exercise the overflow-recovery path).
   std::uint64_t estimated_total_override = 0;
-  /// Neighbor-table materialization strategy (see TableBuildMode).
-  TableBuildMode build_mode = TableBuildMode::kCsrTwoPass;
   /// Which spatial index the traversal kernels run against. kBvh requires
-  /// the CSR pipeline (build_mode kCsrTwoPass, no shared kernel) and
-  /// whole-index builds — sharded slabs keep the grid. The estimation
+  /// the batched CSR pipeline (no shared kernel) and whole-index builds — sharded slabs keep the grid. The estimation
   /// kernel always samples through the grid: the estimate is a property of
   /// the data, not of the traversal structure.
   IndexBackend index_backend = IndexBackend::kGrid;
@@ -121,13 +105,9 @@ struct BatchPolicy {
   /// spans carry the request id the service minted (DESIGN.md §14).
   /// Default-constructed = unattributed.
   RequestContext trace;
-  /// The quality knob (DESIGN.md §16). kSubsampled makes every traversal
-  /// kernel — grid and BVH, batched and fused — apply the seeded per-pair
-  /// Bernoulli filter before the candidate's point read and distance test;
-  /// the orchestrators rescale minpts by the sample rate. kCellGraph is
-  /// handled above the builder (core/cell_graph) and never reaches the
-  /// batch kernels.
-  QualitySpec quality;
+  /// Clustering algorithm (DESIGN.md §16). kCellGraph is handled above the
+  /// builder (core/cell_graph) and never reaches the batch kernels.
+  ClusterQuality quality = ClusterQuality::kExact;
 };
 
 struct BatchPlan {

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -51,8 +52,19 @@ struct Cell {
   bool dense = false;
 };
 
-/// Packs per-axis cell coordinates (each fits 20 bits after offsetting by
-/// the minimum) into one sortable key.
+/// Bits per axis (x, y, z) of the packed cell key.
+constexpr std::array<int, 3> kKeyBits = {21, 21, 22};
+
+/// Largest cell coordinate an axis may hold (coordinates are offset by the
+/// axis minimum, so they start at 0). The stencil looks up to
+/// kStencilReach cells past either end, and those lookups must not wrap
+/// onto an occupied cell: max + kStencilReach < 2^bits.
+constexpr std::int64_t max_cell_coord(int axis) noexcept {
+  return (std::int64_t{1} << kKeyBits[axis]) - 1 - kStencilReach;
+}
+
+/// Packs per-axis cell coordinates (each within max_cell_coord after
+/// offsetting by the minimum) into one sortable key.
 std::uint64_t pack_key(const std::array<std::int32_t, 3>& c) noexcept {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(c[2]))
           << 42) |
@@ -110,10 +122,26 @@ ClusterResult cell_graph_impl(std::span<const typename Traits::Point> points,
   const double side =
       static_cast<double>(eps) / std::sqrt(static_cast<double>(Traits::kDims));
   std::array<float, 3> mins{};
+  std::array<float, 3> maxs{};
   mins.fill(std::numeric_limits<float>::max());
+  maxs.fill(std::numeric_limits<float>::lowest());
   for (const Point& p : points) {
     for (int axis = 0; axis < Traits::kDims; ++axis) {
       mins[axis] = std::min(mins[axis], Traits::coord(p, axis));
+      maxs[axis] = std::max(maxs[axis], Traits::coord(p, axis));
+    }
+  }
+  // The key holds a bounded number of cells per axis; a wider extent would
+  // alias distant cells onto each other, so refuse it instead. The span is
+  // computed in double, before any int32 cast can overflow.
+  for (int axis = 0; axis < Traits::kDims; ++axis) {
+    const double max_cell = std::floor((maxs[axis] - mins[axis]) / side);
+    if (!(max_cell <= static_cast<double>(max_cell_coord(axis)))) {
+      throw std::invalid_argument(
+          "cell_graph_dbscan: axis " + std::to_string(axis) + " spans " +
+          std::to_string(max_cell + 1.0) + " cells of side eps/sqrt(" +
+          std::to_string(Traits::kDims) + "); the cell key holds at most " +
+          std::to_string(max_cell_coord(axis) + 1) + " per axis");
     }
   }
   std::unordered_map<std::uint64_t, std::uint32_t> cell_of_key;

@@ -137,9 +137,8 @@ struct FusedSharedState {
 /// go to the orphan pool for the survivors.
 void fused_pump(FusedContext& fc, FusedWorkQueue& queue,
                 FusedSharedState& state, float eps, ScanMode scan,
-                unsigned block_size, QualitySpec quality,
-                StreamingDbscan& consumer, const ResiliencePolicy& res,
-                const CancelToken* cancel) {
+                unsigned block_size, StreamingDbscan& consumer,
+                const ResiliencePolicy& res, const CancelToken* cancel) {
   const std::size_t ctx = fc.timeline_id;
   FusedWorkItem item;
   while (queue.pop(ctx, item)) {
@@ -161,9 +160,9 @@ void fused_pump(FusedContext& fc, FusedWorkQueue& queue,
       const cudasim::KernelStats stats =
           fc.backend == IndexBackend::kBvh
               ? gpu::run_fused_batch(fc.device, fc.bvh_view, eps, spec,
-                                     consumer, scan, block_size, quality)
+                                     consumer, scan, block_size)
               : gpu::run_fused_batch(fc.device, fc.view, eps, spec,
-                                     consumer, scan, block_size, quality);
+                                     consumer, scan, block_size);
       ++fc.batches_run;
       fc.kernel_modeled += stats.modeled_seconds;
       fc.device_model += stats.modeled_seconds;
@@ -234,7 +233,6 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
   report.fused = true;
   report.streamed = true;
   report.table_materialized = false;
-  report.build_mode = policy.build_mode;
   report.scan_mode = policy.scan_mode;
   report.index_backend = policy.index_backend;
   const ResiliencePolicy& res = policy.resilience;
@@ -275,13 +273,6 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
         grid_query_forward(index, k, eps, row);
       } else {
         grid_query(index, index.points[k], eps, row);
-      }
-      if (policy.quality.sampled()) {
-        // Same Bernoulli filter the fused kernels apply, on the same
-        // (key, partner) ids — a host-finished batch keeps the sample.
-        std::erase_if(row, [&](PointId v) {
-          return !policy.quality.keep_pair(k, v);
-        });
       }
       consumer.consume(BatchDelivery{k, /*key_stride=*/1, scan,
                                      /*counts_delivered=*/false,
@@ -395,12 +386,11 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
         any_live = true;
         FusedContext* fcp = fc.get();
         fc->stream.host_fn([fcp, &queue, &state, eps, scan,
-                            block = policy.block_size,
-                            quality = policy.quality, &consumer, &res,
+                            block = policy.block_size, &consumer, &res,
                             cancel = policy.cancel, ctx = policy.trace] {
           RequestScope scope(ctx);
-          fused_pump(*fcp, queue, state, eps, scan, block, quality, consumer,
-                     res, cancel);
+          fused_pump(*fcp, queue, state, eps, scan, block, consumer, res,
+                     cancel);
         });
       }
       if (!any_live) break;

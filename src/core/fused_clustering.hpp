@@ -39,8 +39,8 @@ namespace hdbscan {
 /// finalize(): labels come from consumer.finalize() after this returns.
 /// Honors policy.index_backend (grid stencil vs packed-BVH traversal),
 /// policy.scan_mode (kHalf tests each pair once), the resilience ladder,
-/// cancellation and metrics labels; build_mode, buffer and estimation
-/// fields are ignored — there is nothing to size or estimate.
+/// cancellation and metrics labels; buffer and estimation fields are
+/// ignored — there is nothing to size or estimate.
 BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
                           const GridIndex& index, float eps,
                           StreamingDbscan& consumer,

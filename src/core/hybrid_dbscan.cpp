@@ -98,17 +98,12 @@ ClusterResult hybrid_dbscan(cudasim::Device& device,
   HybridTimings local;
   WallTimer total_timer;
 
-  if (policy.quality.mode == ClusterQuality::kCellGraph) {
+  if (policy.quality == ClusterQuality::kCellGraph) {
     const ClusterResult out = run_cell_graph_mode(
         device.config(), points, eps, minpts, mode, local, total_timer);
     if (timings != nullptr) *timings = local;
     return out;
   }
-  // Under kSubsampled every kernel keeps an expected `sample_rate`
-  // fraction of each neighborhood, so the density threshold rescales to
-  // minpts * s (the SNG estimator) wherever degrees are thresholded.
-  const int run_minpts = policy.quality.scaled_minpts(minpts);
-
   WallTimer phase_timer;
   const GridIndex index = [&] {
     TRACE_SPAN("index", "grid_index n=%zu", points.size());
@@ -118,21 +113,20 @@ ClusterResult hybrid_dbscan(cudasim::Device& device,
 
   if (mode == ClusterMode::kFused) {
     const ClusterResult out = run_fused_mode({&device}, index, eps,
-                                             run_minpts, policy, local,
+                                             minpts, policy, local,
                                              total_timer);
     if (timings != nullptr) *timings = local;
     return out;
   }
 
-  if (mode == ClusterMode::kStreaming &&
-      policy.build_mode == TableBuildMode::kCsrTwoPass) {
+  if (mode == ClusterMode::kStreaming) {
     // Streaming fast path: the union-find consumer ingests every CSR
     // batch on the builder's stream threads, so the host clustering work
     // runs while the GPU is still filling later batches — and T is never
     // materialized (no shard merge, no half-table expansion, no table
     // memory).
     phase_timer.reset();
-    StreamingDbscan consumer(index.size(), run_minpts);
+    StreamingDbscan consumer(index.size(), minpts);
     NeighborTableBuilder builder(device, policy);
     builder.build(index, eps, &local.build_report, &consumer,
                   /*materialize_table=*/false);
@@ -171,7 +165,7 @@ ClusterResult hybrid_dbscan(cudasim::Device& device,
   local.gpu_table_seconds = phase_timer.seconds();
 
   phase_timer.reset();
-  const ClusterResult indexed = dbscan_neighbor_table(table, run_minpts);
+  const ClusterResult indexed = dbscan_neighbor_table(table, minpts);
   local.dbscan_seconds = phase_timer.seconds();
 
   local.total_seconds = total_timer.seconds();
@@ -191,7 +185,7 @@ ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
   HybridTimings local;
   WallTimer total_timer;
 
-  if (options.policy.quality.mode == ClusterQuality::kCellGraph) {
+  if (options.policy.quality == ClusterQuality::kCellGraph) {
     if (devices.empty() || devices.front() == nullptr) {
       throw std::invalid_argument("hybrid_dbscan: no devices");
     }
@@ -201,7 +195,6 @@ ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
     if (timings != nullptr) *timings = local;
     return out;
   }
-  const int run_minpts = options.policy.quality.scaled_minpts(minpts);
 
   WallTimer phase_timer;
   const GridIndex index = [&] {
@@ -214,17 +207,16 @@ ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
     // Fused mode replicates the (whole) index across the devices and
     // interleaves the strided batches — no slab sharding applies, since
     // the kernels union global ids directly.
-    const ClusterResult out = run_fused_mode(devices, index, eps, run_minpts,
+    const ClusterResult out = run_fused_mode(devices, index, eps, minpts,
                                              options.policy, local,
                                              total_timer);
     if (timings != nullptr) *timings = local;
     return out;
   }
 
-  if (mode == ClusterMode::kStreaming &&
-      options.policy.build_mode == TableBuildMode::kCsrTwoPass) {
+  if (mode == ClusterMode::kStreaming) {
     phase_timer.reset();
-    StreamingDbscan consumer(index.size(), run_minpts);
+    StreamingDbscan consumer(index.size(), minpts);
     build_sharded_neighbor_table(devices, index, eps, options,
                                  &local.build_report, &consumer,
                                  /*materialize_table=*/false);
@@ -259,7 +251,7 @@ ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
   local.gpu_table_seconds = phase_timer.seconds();
 
   phase_timer.reset();
-  const ClusterResult indexed = dbscan_neighbor_table(table, run_minpts);
+  const ClusterResult indexed = dbscan_neighbor_table(table, minpts);
   local.dbscan_seconds = phase_timer.seconds();
 
   local.total_seconds = total_timer.seconds();

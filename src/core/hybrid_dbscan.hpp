@@ -47,9 +47,8 @@ struct HybridTimings {
 /// Runs HYBRID-DBSCAN for a single (eps, minpts). The returned labels are
 /// in the order of `points` (the grid index's internal reordering is
 /// unmapped before returning). ClusterMode::kStreaming clusters the CSR
-/// batches as the GPU produces them and never materializes T (it falls
-/// back to the batch path under TableBuildMode::kPairSort, which has no
-/// streaming delivery). ClusterMode::kFused goes further: the traversal
+/// batches as the GPU produces them and never materializes T.
+/// ClusterMode::kFused goes further: the traversal
 /// kernel itself counts degrees and unions both-core edges
 /// (core/fused_clustering), so even the CSR passes and value transfers
 /// disappear — combine with policy.index_backend = IndexBackend::kBvh for

@@ -35,23 +35,17 @@ namespace {
 /// streams synchronize — the shared mutex never sits on the batch path.
 struct StreamContext {
   StreamContext(cudasim::Device& device_in, const GridView& view_in,
-                TableBuildMode mode, std::uint64_t buffer_pairs,
-                std::uint32_t max_batch_points, unsigned timeline_id_in)
+                std::uint64_t buffer_pairs, std::uint32_t max_batch_points,
+                unsigned timeline_id_in)
       : device(device_in),
         view(view_in),
         timeline_id(timeline_id_in),
         stream(device_in),
-        shard(view_in.num_points) {
-    if (mode == TableBuildMode::kPairSort) {
-      sink.emplace(device_in, buffer_pairs);
-      pair_staging.emplace(device_in, buffer_pairs);
-    } else {
-      counts.emplace(device_in, max_batch_points);
-      values.emplace(device_in, buffer_pairs);
-      offsets_staging.emplace(device_in, max_batch_points);
-      values_staging.emplace(device_in, buffer_pairs);
-    }
-  }
+        shard(view_in.num_points),
+        counts(device_in, max_batch_points),
+        values(device_in, buffer_pairs),
+        offsets_staging(device_in, max_batch_points),
+        values_staging(device_in, buffer_pairs) {}
 
   /// Pinned staging bytes that required a *fresh* page-lock this build
   /// (pool hits were locked by an earlier build and cost nothing now).
@@ -59,13 +53,8 @@ struct StreamContext {
   /// sweep pays the pinned-allocation cost only on its first variant.
   [[nodiscard]] std::uint64_t fresh_pinned_bytes() const noexcept {
     std::uint64_t b = 0;
-    if (pair_staging && pair_staging->fresh()) b += pair_staging->bytes();
-    if (offsets_staging && offsets_staging->fresh()) {
-      b += offsets_staging->bytes();
-    }
-    if (values_staging && values_staging->fresh()) {
-      b += values_staging->bytes();
-    }
+    if (offsets_staging.fresh()) b += offsets_staging.bytes();
+    if (values_staging.fresh()) b += values_staging.bytes();
     return b;
   }
 
@@ -76,27 +65,19 @@ struct StreamContext {
   /// arithmetic (query_count) and the estimation kernel.
   IndexBackend backend = IndexBackend::kGrid;
   BvhView bvh_view{};
-  /// Per-pair Bernoulli filter the traversal kernels apply (exact builds
-  /// carry the default no-op spec). Copied from the policy when the
-  /// context is created so retries and failover re-run the same sample.
-  QualitySpec quality{};
   unsigned timeline_id;  ///< index into the per-context model timelines
   cudasim::Stream stream;
 
   /// Private fraction of T; merged into the final table exactly once.
   NeighborTable shard;
 
-  // --- pair-sort (legacy) pipeline state (pool-backed: returned to the
+  // --- two-pass CSR pipeline state (pool-backed: returned to the
   // device's BufferPool on destruction, so the next build over the same
   // device checks the same memory back out instead of re-allocating) ---
-  std::optional<gpu::ResultSetDevice> sink;
-  std::optional<cudasim::PooledPinnedBuffer<NeighborPair>> pair_staging;
-
-  // --- two-pass CSR pipeline state (pool-backed as above) ---
-  std::optional<cudasim::PooledDeviceBuffer<std::uint32_t>> counts;
-  std::optional<cudasim::PooledDeviceBuffer<PointId>> values;
-  std::optional<cudasim::PooledPinnedBuffer<std::uint32_t>> offsets_staging;
-  std::optional<cudasim::PooledPinnedBuffer<PointId>> values_staging;
+  cudasim::PooledDeviceBuffer<std::uint32_t> counts;
+  cudasim::PooledDeviceBuffer<PointId> values;
+  cudasim::PooledPinnedBuffer<std::uint32_t> offsets_staging;
+  cudasim::PooledPinnedBuffer<PointId> values_staging;
 
   // --- streaming delivery state (CSR + sink builds) ---
   /// Host scratch for reconstructing pass-1 counts from the scanned
@@ -110,7 +91,6 @@ struct StreamContext {
   std::uint64_t sink_count_batches = 0;
   double append_seconds = 0.0;  ///< measured host CPU time appending into T
   double kernel_modeled = 0.0;
-  double sort_modeled = 0.0;
   double scan_modeled = 0.0;
   std::uint64_t total_pairs = 0;
   std::uint64_t max_batch_pairs = 0;
@@ -128,12 +108,11 @@ struct StreamContext {
 /// the host — without duplicating keys.
 struct WorkItem {
   gpu::BatchSpec spec;
-  unsigned depth = 0;              ///< overflow/shrink splits applied
+  unsigned depth = 0;              ///< overflow splits applied
   unsigned transient_retries = 0;  ///< TransientKernelFault retries so far
-  unsigned alloc_retries = 0;      ///< OOM shrink-splits along this lineage
   /// The sink already received this lineage's pass-1 counts. The flag
-  /// rides through retries, OOM splits and failover (push_halves and the
-  /// orphan pool copy the item), which is what makes count delivery
+  /// rides through retries, overflow splits and failover (push_halves and
+  /// the orphan pool copy the item), which is what makes count delivery
   /// exactly-once: a split half or a retried launch re-runs its kernels
   /// but never re-adds degrees the parent item already delivered.
   bool counts_delivered = false;
@@ -223,7 +202,6 @@ struct SharedBuildState {
   std::mutex mutex;
   std::exception_ptr hard_error;
   std::uint32_t transient_retries = 0;
-  std::uint32_t alloc_retries = 0;
   std::uint32_t failover_batches = 0;
 
   void set_hard_error(std::exception_ptr e) {
@@ -250,76 +228,14 @@ struct SharedBuildState {
 
 /// (l, n_b) == (l, 2 n_b) u (l + n_b, 2 n_b): same points, half each.
 /// The halves stay on the splitting context's sub-queue.
-void push_halves(WorkQueue& queue, std::size_t ctx, const WorkItem& item,
-                 unsigned extra_alloc_retry) {
+void push_halves(WorkQueue& queue, std::size_t ctx, const WorkItem& item) {
   WorkItem half = item;
   half.depth = item.depth + 1;
-  half.alloc_retries = item.alloc_retries + extra_alloc_retry;
   half.spec = {item.spec.batch, item.spec.num_batches * 2};
   queue.push(ctx, half);
   half.spec = {item.spec.batch + item.spec.num_batches,
                item.spec.num_batches * 2};
   queue.push(ctx, half);
-}
-
-/// Legacy pair pipeline: kernel -> device sort_by_key -> D2H pairs ->
-/// shard append. On buffer overflow the two halves go back to the queue.
-/// Under ScanMode::kHalf the kernel emits forward rows only — about half
-/// the pairs sort, ship and append; the builder transposes the merged
-/// table once at the end.
-void process_batch_pairs(StreamContext& sc, ScanMode scan, float eps,
-                         WorkItem& item, unsigned block_size,
-                         WorkQueue& queue, unsigned max_split_depth) {
-  const gpu::BatchSpec spec = item.spec;
-  if (spec.points_in_batch(sc.view.query_count()) == 0) return;
-  TRACE_SPAN("batch", "batch %u/%u d%u", spec.batch, spec.num_batches,
-             sc.device.id());
-
-  sc.sink->reset();
-  const cudasim::KernelStats stats = gpu::run_calc_global(
-      sc.device, sc.view, eps, spec, sc.sink->view(), scan, block_size,
-      sc.quality);
-  ++sc.batches_run;
-  sc.kernel_modeled += stats.modeled_seconds;
-  sc.device_model += stats.modeled_seconds;
-  sc.atomic_ops += stats.work.atomic_ops;
-  sc.kernel_flops += stats.work.flops;
-  sc.kernel_global_bytes += stats.work.global_bytes;
-
-  if (sc.sink->overflowed()) {
-    if (item.depth >= max_split_depth) {
-      throw_split_exhausted(spec, item.depth, max_split_depth);
-    }
-    ++sc.overflow_splits;
-    TRACE_INSTANT("resilience", "overflow_split %u/%u", spec.batch,
-                  spec.num_batches);
-    push_halves(queue, sc.timeline_id, item, /*extra_alloc_retry=*/0);
-    return;
-  }
-
-  const std::uint64_t pairs = sc.sink->stored();
-  // Group identical keys before shipping R to the host (Alg. 4 line 7).
-  cudasim::sort_by_key(sc.device, sc.sink->pairs(), pairs,
-                       [](const NeighborPair& p) { return p.key; });
-  const std::uint64_t bytes = pairs * sizeof(NeighborPair);
-  // D2H into this stream's pinned staging area.
-  sc.device.blocking_transfer(sc.pair_staging->data(),
-                              sc.sink->pairs().device_data(), bytes,
-                              /*to_device=*/false, /*pinned_host=*/true);
-  const double sort_s =
-      cudasim::modeled_sort_seconds(sc.device.config(), bytes);
-  sc.sort_modeled += sort_s;
-  sc.device_model +=
-      sort_s + cudasim::modeled_transfer_seconds(sc.device.config(), bytes,
-                                                 /*pinned=*/true);
-  sc.d2h_bytes += bytes;
-  // Host side: append this batch into the context's private shard — no
-  // lock; shards merge after all streams drain.
-  hdbscan::ThreadCpuTimer append_timer;
-  sc.shard.append_sorted_batch({sc.pair_staging->data(), pairs});
-  sc.append_seconds += append_timer.seconds();
-  sc.total_pairs += pairs;
-  sc.max_batch_pairs = std::max(sc.max_batch_pairs, pairs);
 }
 
 /// Two-pass CSR pipeline: count kernel -> exclusive scan (exact batch
@@ -345,11 +261,9 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
   const cudasim::KernelStats count_stats =
       sc.backend == IndexBackend::kBvh
           ? gpu::run_count_batch(sc.device, sc.bvh_view, eps, spec,
-                                 sc.counts->device_data(), scan, block_size,
-                                 sc.quality)
+                                 sc.counts.device_data(), scan, block_size)
           : gpu::run_count_batch(sc.device, sc.view, eps, spec,
-                                 sc.counts->device_data(), scan, block_size,
-                                 sc.quality);
+                                 sc.counts.device_data(), scan, block_size);
   ++sc.batches_run;
   sc.kernel_modeled += count_stats.modeled_seconds;
   sc.device_model += count_stats.modeled_seconds;
@@ -358,21 +272,21 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
   sc.kernel_global_bytes += count_stats.work.global_bytes;
 
   // Exact batch size; counts become exclusive CSR offsets in place.
-  const std::uint64_t total = cudasim::exclusive_scan(sc.device, *sc.counts,
+  const std::uint64_t total = cudasim::exclusive_scan(sc.device, sc.counts,
                                                       pts);
   const double scan_s = cudasim::modeled_scan_seconds(
       sc.device.config(), pts * sizeof(std::uint32_t));
   sc.scan_modeled += scan_s;
   sc.device_model += scan_s;
 
-  if (total > sc.values->size()) {
+  if (total > sc.values.size()) {
     if (item.depth >= max_split_depth) {
       throw_split_exhausted(spec, item.depth, max_split_depth);
     }
     ++sc.overflow_splits;
     TRACE_INSTANT("resilience", "overflow_split %u/%u", spec.batch,
                   spec.num_batches);
-    push_halves(queue, sc.timeline_id, item, /*extra_alloc_retry=*/0);
+    push_halves(queue, sc.timeline_id, item);
     return;
   }
 
@@ -382,8 +296,8 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
   // while the fill kernel is still distance-testing. Same bytes as the
   // old post-fill offsets transfer, just earlier on the timeline.
   const std::uint64_t offset_bytes = pts * sizeof(std::uint32_t);
-  sc.device.blocking_transfer(sc.offsets_staging->data(),
-                              sc.counts->device_data(), offset_bytes,
+  sc.device.blocking_transfer(sc.offsets_staging.data(),
+                              sc.counts.device_data(), offset_bytes,
                               /*to_device=*/false, /*pinned_host=*/true);
   sc.device_model += cudasim::modeled_transfer_seconds(
       sc.device.config(), offset_bytes, /*pinned=*/true);
@@ -393,7 +307,7 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
     // Exclusive offsets + the exact total reconstruct the pass-1 counts
     // without a second transfer: counts[g] = offsets[g+1] - offsets[g].
     sc.counts_scratch.resize(pts);
-    const std::uint32_t* offs = sc.offsets_staging->data();
+    const std::uint32_t* offs = sc.offsets_staging.data();
     for (std::uint32_t g = 0; g + 1 < pts; ++g) {
       sc.counts_scratch[g] = offs[g + 1] - offs[g];
     }
@@ -411,13 +325,11 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
   const cudasim::KernelStats fill_stats =
       sc.backend == IndexBackend::kBvh
           ? gpu::run_fill_csr(sc.device, sc.bvh_view, eps, spec,
-                              sc.counts->device_data(),
-                              sc.values->device_data(), scan, block_size,
-                              sc.quality)
+                              sc.counts.device_data(),
+                              sc.values.device_data(), scan, block_size)
           : gpu::run_fill_csr(sc.device, sc.view, eps, spec,
-                              sc.counts->device_data(),
-                              sc.values->device_data(), scan, block_size,
-                              sc.quality);
+                              sc.counts.device_data(),
+                              sc.values.device_data(), scan, block_size);
   sc.kernel_modeled += fill_stats.modeled_seconds;
   sc.device_model += fill_stats.modeled_seconds;
   sc.atomic_ops += fill_stats.work.atomic_ops;
@@ -425,11 +337,10 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
   sc.kernel_global_bytes += fill_stats.work.global_bytes;
 
   // D2H: bare values only — the per-point offsets are already host-side
-  // and no NeighborPair keys cross the wire, so about half the bytes of
-  // the pair pipeline.
+  // and no NeighborPair keys cross the wire.
   const std::uint64_t value_bytes = total * sizeof(PointId);
-  sc.device.blocking_transfer(sc.values_staging->data(),
-                              sc.values->device_data(), value_bytes,
+  sc.device.blocking_transfer(sc.values_staging.data(),
+                              sc.values.device_data(), value_bytes,
                               /*to_device=*/false, /*pinned_host=*/true);
   sc.device_model += cudasim::modeled_transfer_seconds(
       sc.device.config(), value_bytes, /*pinned=*/true);
@@ -438,8 +349,8 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
   if (materialize) {
     hdbscan::ThreadCpuTimer append_timer;
     sc.shard.append_csr_batch(spec.batch, spec.num_batches,
-                              {sc.offsets_staging->data(), pts},
-                              {sc.values_staging->data(), total});
+                              {sc.offsets_staging.data(), pts},
+                              {sc.values_staging.data(), total});
     sc.append_seconds += append_timer.seconds();
   }
   if (sink != nullptr) {
@@ -448,8 +359,8 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
     hdbscan::ThreadCpuTimer consume_timer;
     sink->consume(BatchDelivery{spec.batch, spec.num_batches, scan,
                                 item.counts_delivered,
-                                {sc.offsets_staging->data(), pts},
-                                {sc.values_staging->data(), total}, {}});
+                                {sc.offsets_staging.data(), pts},
+                                {sc.values_staging.data(), total}, {}});
     sc.consume_seconds += consume_timer.seconds();
     ++sc.sink_batches;
   }
@@ -457,32 +368,16 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
   sc.max_batch_pairs = std::max(sc.max_batch_pairs, total);
 }
 
-void process_item(StreamContext& sc, TableBuildMode mode, ScanMode scan,
-                  float eps, WorkItem& item, unsigned block_size,
-                  WorkQueue& queue, unsigned max_split_depth,
-                  BatchSink* sink, bool materialize) {
-  if (mode == TableBuildMode::kPairSort) {
-    process_batch_pairs(sc, scan, eps, item, block_size, queue,
-                        max_split_depth);
-  } else {
-    process_batch_csr(sc, scan, eps, item, block_size, queue,
-                      max_split_depth, sink, materialize);
-  }
-}
-
 /// One context's work pump, run on its stream thread. Pops items until the
 /// queue is dry, applying the degradation ladder on faults:
 ///   * TransientKernelFault — the launch did no work; retry the item up to
 ///     max_transient_retries times before it becomes a hard error.
-///   * DeviceOutOfMemory   — a mid-batch scratch allocation failed (e.g.
-///     the pair sort's temp buffer); split the batch in two, which halves
-///     the scratch, bounded by max_alloc_retries and max_split_depth.
 ///   * DeviceLost          — the context is dead; requeue the item for a
 ///     survivor (or the host) and exit the pump.
 /// Anything else is a hard error: recorded once, every pump winds down,
 /// and build() rethrows only after all streams have drained.
 void pump(StreamContext& sc, WorkQueue& queue, SharedBuildState& state,
-          TableBuildMode mode, ScanMode scan, float eps, unsigned block_size,
+          ScanMode scan, float eps, unsigned block_size,
           const ResiliencePolicy& res, unsigned max_split_depth,
           BatchSink* sink, bool materialize, const CancelToken* cancel) {
   const std::size_t ctx = sc.timeline_id;
@@ -503,8 +398,8 @@ void pump(StreamContext& sc, WorkQueue& queue, SharedBuildState& state,
       return;
     }
     try {
-      process_item(sc, mode, scan, eps, item, block_size, queue,
-                   max_split_depth, sink, materialize);
+      process_batch_csr(sc, scan, eps, item, block_size, queue,
+                        max_split_depth, sink, materialize);
     } catch (const cudasim::TransientKernelFault&) {
       if (item.transient_retries < res.max_transient_retries) {
         ++item.transient_retries;
@@ -515,20 +410,6 @@ void pump(StreamContext& sc, WorkQueue& queue, SharedBuildState& state,
           ++state.transient_retries;
         }
         queue.push(ctx, item);
-        continue;
-      }
-      state.set_hard_error(std::current_exception());
-      return;
-    } catch (const cudasim::DeviceOutOfMemory&) {
-      if (item.alloc_retries < res.max_alloc_retries &&
-          item.depth < max_split_depth) {
-        TRACE_INSTANT("resilience", "oom_split %u/%u", item.spec.batch,
-                      item.spec.num_batches);
-        {
-          std::lock_guard lock(state.mutex);
-          ++state.alloc_retries;
-        }
-        push_halves(queue, ctx, item, /*extra_alloc_retry=*/1);
         continue;
       }
       state.set_hard_error(std::current_exception());
@@ -591,11 +472,6 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
                                                BatchSink* sink,
                                                bool materialize_table) {
   TRACE_SPAN("build", "table_build n=%zu", index.size());
-  if (sink != nullptr && policy_.build_mode == TableBuildMode::kPairSort) {
-    throw std::invalid_argument(
-        "NeighborTableBuilder: streaming delivery (BatchSink) requires "
-        "TableBuildMode::kCsrTwoPass");
-  }
   if (!materialize_table && sink == nullptr) {
     throw std::invalid_argument(
         "NeighborTableBuilder: materialize_table=false without a sink "
@@ -603,11 +479,6 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
   }
   const bool use_bvh = policy_.index_backend == IndexBackend::kBvh;
   if (use_bvh) {
-    if (policy_.build_mode != TableBuildMode::kCsrTwoPass) {
-      throw std::invalid_argument(
-          "NeighborTableBuilder: IndexBackend::kBvh requires "
-          "TableBuildMode::kCsrTwoPass");
-    }
     if (policy_.use_shared_kernel) {
       throw std::invalid_argument(
           "NeighborTableBuilder: IndexBackend::kBvh has no shared-memory "
@@ -624,7 +495,6 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
   WallTimer total_timer;
   BuildReport local_report;
   local_report.used_shared_kernel = policy_.use_shared_kernel;
-  local_report.build_mode = policy_.build_mode;
   local_report.scan_mode = policy_.scan_mode;
   local_report.index_backend = policy_.index_backend;
   local_report.streamed = sink != nullptr;
@@ -640,8 +510,8 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
     // The parallel host builder queries full neighborhoods directly, so
     // no half-table expansion applies on this rung.
     local_report.scan_mode = ScanMode::kFull;
-    NeighborTable t = build_neighbor_table_host_parallel(
-        index, eps, /*num_threads=*/0, policy_.quality);
+    NeighborTable t =
+        build_neighbor_table_host_parallel(index, eps, /*num_threads=*/0);
     local_report.total_pairs = t.total_pairs();
     if (sink != nullptr) {
       // This rung only fires before any batch ran, so the sink has seen
@@ -764,17 +634,6 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
     local_report.atomic_ops +=
         local_report.estimate.kernel_stats.work.atomic_ops;
   }
-  // The estimation kernel always counts the exact neighborhood — e_b is a
-  // property of the data, not of the quality mode — so a subsampled build
-  // plans its buffers for the expected kept fraction instead. The planner's
-  // alpha slack absorbs the Bernoulli variance on top.
-  if (policy_.quality.sampled()) {
-    const double r = std::clamp(policy_.quality.sample_rate, 0.0f, 1.0f);
-    local_report.estimate.estimated_total = std::max<std::uint64_t>(
-        index.size(),
-        static_cast<std::uint64_t>(
-            static_cast<double>(local_report.estimate.estimated_total) * r));
-  }
 
   // Drop slots whose device died since the last check, tallying each loss
   // exactly once (later phases only ever see surviving slots).
@@ -791,18 +650,12 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
 
   // Plan n_b and b_b, capping the buffers so that num_streams result
   // buffers and their scratch never exceed any surviving device's free
-  // memory. A pair-mode slot costs sizeof(NeighborPair) twice over (sink +
-  // the sort's Thrust-style temp); a CSR slot is a bare PointId plus the
-  // small per-point counts array — the same memory therefore holds ~4x
-  // more neighbors in CSR mode, which shrinks n_b. `shrink_shift` halves
-  // the buffer cap per out-of-memory retry of the context setup.
-  const bool pair_mode = policy_.build_mode == TableBuildMode::kPairSort;
-  const std::uint64_t bytes_per_slot =
-      pair_mode ? 2 * sizeof(NeighborPair) : sizeof(PointId);
+  // memory. A slot is a bare PointId, plus the small per-point counts
+  // array reserved up front. `shrink_shift` halves the buffer cap per
+  // out-of-memory retry of the context setup.
+  const std::uint64_t bytes_per_slot = sizeof(PointId);
   const std::uint64_t counts_reserve_bytes =
-      pair_mode ? 0
-                : static_cast<std::uint64_t>(index.size()) *
-                      sizeof(std::uint32_t);
+      static_cast<std::uint64_t>(index.size()) * sizeof(std::uint32_t);
   auto compute_plan = [&](unsigned shrink_shift) {
     std::uint64_t min_free_bytes =
         std::numeric_limits<std::uint64_t>::max();
@@ -854,13 +707,13 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
       sink == nullptr) {
     // GPUCalcShared path (single batch only: the block-per-cell mapping is
     // incompatible with the strided batch assignment). First surviving
-    // device only; always the pair pipeline — the block-per-cell schedule
+    // device only; the kernel appends (key, value) pairs that are sorted
+    // by key on the device before the D2H — the block-per-cell schedule
     // has no per-thread point to count for CSR slots, and for the same
     // reason it cannot feed a streaming sink (a non-null sink falls
-    // through to the batched CSR pipeline). This legacy path has no
-    // degradation ladder: a fault here propagates to the caller.
+    // through to the batched CSR pipeline). This path has no degradation
+    // ladder: a fault here propagates to the caller.
     const BatchPlan& plan = local_report.plan;
-    local_report.build_mode = TableBuildMode::kPairSort;
     const gpu::GridDeviceIndex& dev_index = *slots.front().dev_index;
     const GridView first_view = dev_index.view();
     gpu::ResultSetDevice result_sink(first_device, plan.buffer_pairs);
@@ -870,7 +723,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
     const cudasim::KernelStats stats = gpu::run_calc_shared(
         first_device, first_view, dev_index.schedule(),
         dev_index.num_nonempty_cells(), eps, result_sink.view(), policy_.scan_mode,
-        policy_.block_size, policy_.quality);
+        policy_.block_size);
     local_report.batches_run = 1;
     local_report.kernel_modeled_seconds = stats.modeled_seconds;
     local_report.atomic_ops += stats.work.atomic_ops;
@@ -937,11 +790,10 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
           for (unsigned s = 0; s < std::max(1u, policy_.num_streams); ++s) {
             const auto id = static_cast<unsigned>(contexts.size());
             contexts.push_back(std::make_unique<StreamContext>(
-                *slot.device, slot.dev_index->view(), policy_.build_mode,
+                *slot.device, slot.dev_index->view(),
                 local_report.plan.buffer_pairs, std::max(1u, max_batch_points),
                 id));
             contexts.back()->backend = policy_.index_backend;
-            contexts.back()->quality = policy_.quality;
             if (slot.bvh_index) {
               contexts.back()->bvh_view = slot.bvh_index->view();
             }
@@ -980,7 +832,6 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
                  WorkItem{gpu::BatchSpec{l, plan.num_batches}});
     }
     SharedBuildState state;
-    const TableBuildMode mode = policy_.build_mode;
     const ScanMode scan = policy_.scan_mode;
     while (!queue.empty()) {
       bool any_live = false;
@@ -993,7 +844,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
         }
         any_live = true;
         StreamContext* scp = sc.get();
-        sc->stream.host_fn([scp, &queue, &state, mode, scan, eps,
+        sc->stream.host_fn([scp, &queue, &state, scan, eps,
                             block = policy_.block_size, &res,
                             depth_max = policy_.max_split_depth, sink,
                             materialize, cancel = policy_.cancel,
@@ -1001,8 +852,8 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
           // Stream threads outlive any one build; attribute this pump's
           // spans to the request the build serves.
           RequestScope scope(ctx);
-          pump(*scp, queue, state, mode, scan, eps, block, res, depth_max,
-               sink, materialize, cancel);
+          pump(*scp, queue, state, scan, eps, block, res, depth_max, sink,
+               materialize, cancel);
         });
       }
       if (!any_live) break;
@@ -1021,7 +872,6 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
     {
       std::lock_guard lock(state.mutex);
       local_report.transient_retries += state.transient_retries;
-      local_report.alloc_retries += state.alloc_retries;
       local_report.failover_batches += state.failover_batches;
     }
     if (state.hard_error) {
@@ -1062,11 +912,11 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
           }
           host_shards.push_back(build_neighbor_table_host_strided_idrule(
               index, *fallback_rtree, eps, item.spec.batch,
-              item.spec.num_batches, policy_.scan_mode, policy_.quality));
+              item.spec.num_batches, policy_.scan_mode));
         } else {
           host_shards.push_back(build_neighbor_table_host_strided(
               index, eps, item.spec.batch, item.spec.num_batches,
-              policy_.scan_mode, policy_.quality));
+              policy_.scan_mode));
         }
         ++local_report.host_fallback_batches;
         local_report.total_pairs += host_shards.back().total_pairs();
@@ -1124,7 +974,6 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
       local_report.batches_run += sc->batches_run;
       local_report.overflow_splits += sc->overflow_splits;
       local_report.kernel_modeled_seconds += sc->kernel_modeled;
-      local_report.sort_modeled_seconds += sc->sort_modeled;
       local_report.scan_modeled_seconds += sc->scan_modeled;
       local_report.atomic_ops += sc->atomic_ops;
       local_report.d2h_bytes += sc->d2h_bytes;

@@ -159,15 +159,10 @@ PipelineReport run_multi_clustering(cudasim::Device& device,
                                     std::span<const Point2> points,
                                     std::span<const Variant> variants,
                                     const PipelineOptions& options) {
-  if (options.policy.quality.mode == ClusterQuality::kCellGraph) {
+  if (options.policy.quality == ClusterQuality::kCellGraph) {
     return run_cell_graph_variants(device.config(), points, variants,
                                    options);
   }
-  // Subsampled variants threshold their degrees at minpts * s (the
-  // kernels keep that expected fraction of each neighborhood).
-  const auto run_minpts = [&](std::size_t i) {
-    return options.policy.quality.scaled_minpts(variants[i].minpts);
-  };
   PipelineReport report;
   report.variants.resize(variants.size());
   if (options.keep_results) report.results.resize(variants.size());
@@ -189,11 +184,11 @@ PipelineReport run_multi_clustering(cudasim::Device& device,
           WallTimer t;
           GridIndex index = build_grid_index(points, variants[i].eps);
           NeighborTable table = build_neighbor_table_host_parallel(
-              index, variants[i].eps, /*num_threads=*/0,
-              options.policy.quality);
+              index, variants[i].eps, /*num_threads=*/0);
           const double table_s = t.seconds();
           WallTimer dbscan_timer;
-          ClusterResult indexed = dbscan_neighbor_table(table, run_minpts(i));
+          ClusterResult indexed =
+              dbscan_neighbor_table(table, variants[i].minpts);
           ClusterResult r = unmap_labels(indexed, index.original_ids);
           report.variants[i].table_seconds = table_s;
           report.variants[i].modeled_table_seconds = table_s;
@@ -253,11 +248,7 @@ PipelineReport run_multi_clustering(cudasim::Device& device,
   // are still clustering v_i. A variant whose build fails is recorded and
   // skipped — its siblings keep flowing. Once the device is lost the
   // remaining variants' tables are built host-side instead.
-  // Streaming requires the CSR pipeline's delivery surface; a pair-sort
-  // policy silently falls back to batch-table consumption.
-  const bool streaming =
-      options.cluster_mode == ClusterMode::kStreaming &&
-      options.policy.build_mode == TableBuildMode::kCsrTwoPass;
+  const bool streaming = options.cluster_mode == ClusterMode::kStreaming;
   const bool fused = options.cluster_mode == ClusterMode::kFused;
 
   std::thread producer([&] {
@@ -277,15 +268,14 @@ PipelineReport run_multi_clustering(cudasim::Device& device,
         double modeled_s = 0.0;
         if (host) {
           item.table = build_neighbor_table_host_parallel(
-              index, variants[i].eps, /*num_threads=*/0,
-              options.policy.quality);
+              index, variants[i].eps, /*num_threads=*/0);
           item.payload_bytes = table_payload_bytes(item.table);
         } else if (fused) {
           // Fused variants never touch the table builder: the traversal
           // kernel ingests straight into the clusterer, and the pipeline
           // consumers — like streaming mode — only run the tail.
           auto clusterer = std::make_unique<StreamingDbscan>(
-              index.size(), run_minpts(i));
+              index.size(), variants[i].minpts);
           clusterer->set_cancel_token(options.policy.cancel);
           const BuildReport build_report = fused_cluster(
               device, index, variants[i].eps, *clusterer, options.policy);
@@ -298,7 +288,7 @@ PipelineReport run_multi_clustering(cudasim::Device& device,
           // the inter-variant producer/consumer overlap. The consumers
           // only run the resolution tail.
           auto clusterer = std::make_unique<StreamingDbscan>(
-              index.size(), run_minpts(i));
+              index.size(), variants[i].minpts);
           clusterer->set_cancel_token(options.policy.cancel);
           BuildReport build_report;
           builder.build(index, variants[i].eps, &build_report,
@@ -342,7 +332,7 @@ PipelineReport run_multi_clustering(cudasim::Device& device,
           ClusterResult indexed =
               item->streaming
                   ? item->streaming->finalize()
-                  : dbscan_neighbor_table(item->table, run_minpts(i));
+                  : dbscan_neighbor_table(item->table, variants[i].minpts);
           const double dbscan_s = t.seconds();
           ClusterResult result = options.keep_results
                                      ? unmap_labels(indexed, item->original_ids)
@@ -384,17 +374,13 @@ PipelineReport run_multi_clustering(
   if (fleet.empty()) {
     throw std::invalid_argument("run_multi_clustering: no devices");
   }
-  if (options.policy.quality.mode == ClusterQuality::kCellGraph) {
+  if (options.policy.quality == ClusterQuality::kCellGraph) {
     return run_cell_graph_variants(fleet.front()->config(), points, variants,
                                    options);
   }
   if (fleet.size() == 1 && options.num_shards <= 1) {
     return run_multi_clustering(*fleet.front(), points, variants, options);
   }
-  const auto run_minpts = [&options, variants](std::size_t i) {
-    return options.policy.quality.scaled_minpts(variants[i].minpts);
-  };
-
   PipelineReport report;
   report.variants.resize(variants.size());
   if (options.keep_results) report.results.resize(variants.size());
@@ -403,9 +389,7 @@ PipelineReport run_multi_clustering(
   }
   WallTimer total_timer;
 
-  const bool streaming =
-      options.cluster_mode == ClusterMode::kStreaming &&
-      options.policy.build_mode == TableBuildMode::kCsrTwoPass;
+  const bool streaming = options.cluster_mode == ClusterMode::kStreaming;
   const bool fused = options.cluster_mode == ClusterMode::kFused;
   const auto any_live = [&fleet] {
     for (const cudasim::Device* d : fleet) {
@@ -432,7 +416,7 @@ PipelineReport run_multi_clustering(
     modeled_s = 0.0;
     if (host) {
       item.table = build_neighbor_table_host_parallel(
-          index, variants[i].eps, /*num_threads=*/0, options.policy.quality);
+          index, variants[i].eps, /*num_threads=*/0);
       item.payload_bytes = table_payload_bytes(item.table);
     } else if (fused) {
       // Fused fleet variants replicate the whole index (no slab sharding;
@@ -443,7 +427,7 @@ PipelineReport run_multi_clustering(
         if (!d->lost()) live.push_back(d);
       }
       auto clusterer = std::make_unique<StreamingDbscan>(index.size(),
-                                                         run_minpts(i));
+                                                         variants[i].minpts);
       clusterer->set_cancel_token(options.policy.cancel);
       const BuildReport build_report = fused_cluster(
           live, index, variants[i].eps, *clusterer, options.policy);
@@ -452,7 +436,7 @@ PipelineReport run_multi_clustering(
       item.streaming = std::move(clusterer);
     } else if (streaming) {
       auto clusterer = std::make_unique<StreamingDbscan>(index.size(),
-                                                         run_minpts(i));
+                                                         variants[i].minpts);
       clusterer->set_cancel_token(options.policy.cancel);
       BuildReport build_report;
       build_sharded_neighbor_table(fleet, index, variants[i].eps, sopts,
@@ -489,7 +473,7 @@ PipelineReport run_multi_clustering(
         ClusterResult indexed =
             item.streaming
                 ? item.streaming->finalize()
-                : dbscan_neighbor_table(item.table, run_minpts(i));
+                : dbscan_neighbor_table(item.table, variants[i].minpts);
         ClusterResult result = unmap_labels(indexed, item.original_ids);
         report.variants[i].table_seconds = wall_s;
         report.variants[i].modeled_table_seconds = modeled_s;
@@ -571,7 +555,7 @@ PipelineReport run_multi_clustering(
           ClusterResult indexed =
               item->streaming
                   ? item->streaming->finalize()
-                  : dbscan_neighbor_table(item->table, run_minpts(i));
+                  : dbscan_neighbor_table(item->table, variants[i].minpts);
           const double dbscan_s = t.seconds();
           ClusterResult result = options.keep_results
                                      ? unmap_labels(indexed, item->original_ids)

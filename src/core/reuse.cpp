@@ -31,8 +31,7 @@ ReuseReport cluster_minpts_sweep(cudasim::Device& device,
 
   WallTimer total_timer;
 
-  const bool streaming = mode == ClusterMode::kStreaming &&
-                         policy.build_mode == TableBuildMode::kCsrTwoPass;
+  const bool streaming = mode == ClusterMode::kStreaming;
 
   // Phase 1: one neighbor table build for this eps. In streaming mode a
   // FanoutSink replicates each CSR batch to one union-find consumer per

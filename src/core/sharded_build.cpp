@@ -253,7 +253,6 @@ NeighborTable build_sharded_impl(
   TRACE_SPAN("build", "sharded_build n=%zu", index.size());
 
   BuildReport agg;
-  agg.build_mode = options.policy.build_mode;
   agg.scan_mode = options.policy.scan_mode;
   agg.streamed = sink != nullptr;
   agg.table_materialized = materialize_table;
@@ -511,8 +510,7 @@ NeighborTable build_sharded_impl(
     for (GridShard& shard : pending) {
       check_cancel(options.policy.cancel);
       NeighborTable local = build_neighbor_table_host_strided(
-          shard.index, eps, 0, 1, options.policy.scan_mode,
-          options.policy.quality);
+          shard.index, eps, 0, 1, options.policy.scan_mode);
       ++agg.host_fallback_batches;
       agg.halo_ghost_points += shard.num_ghosts();
       if (sink != nullptr) {

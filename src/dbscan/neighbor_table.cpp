@@ -357,8 +357,7 @@ NeighborTable build_neighbor_table_host_strided(const GridIndex& index,
                                                 float eps,
                                                 std::uint32_t first_key,
                                                 std::uint32_t key_stride,
-                                                ScanMode mode,
-                                                QualitySpec quality) {
+                                                ScanMode mode) {
   if (key_stride == 0) {
     throw std::invalid_argument("build_neighbor_table_host_strided: stride 0");
   }
@@ -378,10 +377,7 @@ NeighborTable build_neighbor_table_host_strided(const GridIndex& index,
     pairs.reserve(neighbors.size());
     // Values pass through the index's emission map, matching the device
     // kernels (shard slabs emit global ids; full indexes are identity).
-    // The Bernoulli filter runs on resident ids, pre-emission — the same
-    // pair the kernels hash — so a degraded build keeps the same sample.
     for (const PointId v : neighbors) {
-      if (!quality.keep_pair(static_cast<PointId>(key), v)) continue;
       pairs.push_back({static_cast<PointId>(key), index.emit(v)});
     }
     shard.append_sorted_batch(pairs);
@@ -394,8 +390,7 @@ NeighborTable build_neighbor_table_host_strided_idrule(const GridIndex& index,
                                                        float eps,
                                                        std::uint32_t first_key,
                                                        std::uint32_t key_stride,
-                                                       ScanMode mode,
-                                                       QualitySpec quality) {
+                                                       ScanMode mode) {
   if (key_stride == 0) {
     throw std::invalid_argument(
         "build_neighbor_table_host_strided_idrule: stride 0");
@@ -417,7 +412,6 @@ NeighborTable build_neighbor_table_host_strided_idrule(const GridIndex& index,
       // The tree backends' kHalf cover: row `key` owns the pairs whose
       // partner id is not below it (self included).
       if (mode == ScanMode::kHalf && v < key) continue;
-      if (!quality.keep_pair(static_cast<PointId>(key), v)) continue;
       pairs.push_back({static_cast<PointId>(key), v});
     }
     std::sort(pairs.begin(), pairs.end(),
@@ -431,8 +425,7 @@ NeighborTable build_neighbor_table_host_strided_idrule(const GridIndex& index,
 
 NeighborTable build_neighbor_table_host_parallel(const GridIndex& index,
                                                  float eps,
-                                                 unsigned num_threads,
-                                                 QualitySpec quality) {
+                                                 unsigned num_threads) {
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
@@ -457,7 +450,6 @@ NeighborTable build_neighbor_table_host_parallel(const GridIndex& index,
       for (std::size_t i = begin; i < end; ++i) {
         grid_query(index, index.points[i], eps, neighbors);
         for (const PointId v : neighbors) {
-          if (!quality.keep_pair(static_cast<PointId>(i), v)) continue;
           pairs.push_back({static_cast<PointId>(i), v});
         }
       }
@@ -469,8 +461,7 @@ NeighborTable build_neighbor_table_host_parallel(const GridIndex& index,
   return table;
 }
 
-NeighborTable build_neighbor_table_host(const GridIndex& index, float eps,
-                                        QualitySpec quality) {
+NeighborTable build_neighbor_table_host(const GridIndex& index, float eps) {
   NeighborTable table(index.size());
   std::vector<PointId> neighbors;
   std::vector<NeighborPair> pairs;
@@ -479,7 +470,6 @@ NeighborTable build_neighbor_table_host(const GridIndex& index, float eps,
     pairs.clear();
     pairs.reserve(neighbors.size());
     for (const PointId v : neighbors) {
-      if (!quality.keep_pair(i, v)) continue;
       pairs.push_back({i, v});
     }
     table.append_sorted_batch(pairs);

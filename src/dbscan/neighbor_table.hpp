@@ -160,21 +160,14 @@ class NeighborTable {
 /// CPU-only construction of T straight from a grid index — the host
 /// fallback the paper mentions ("a CPU-only implementation could also
 /// compute and reuse T") and the oracle for kernel tests.
-/// Every host builder takes a trailing `quality`: under
-/// ClusterQuality::kSubsampled the same seeded per-pair Bernoulli filter
-/// the device kernels apply runs on each returned neighbor, so a degraded
-/// build (host-fallback rung, shard host rung, oracle comparison) samples
-/// exactly the pair set the kernels would have.
-NeighborTable build_neighbor_table_host(const GridIndex& index, float eps,
-                                        QualitySpec quality = {});
+NeighborTable build_neighbor_table_host(const GridIndex& index, float eps);
 
 /// Multithreaded host construction of T: point ranges are searched in
 /// parallel and appended as per-range batches. Produces exactly the same
 /// table as the sequential builder. `num_threads` 0 = hardware concurrency.
 NeighborTable build_neighbor_table_host_parallel(const GridIndex& index,
                                                  float eps,
-                                                 unsigned num_threads = 0,
-                                                 QualitySpec quality = {});
+                                                 unsigned num_threads = 0);
 
 /// Host construction of one strided batch's shard: only the keys
 /// first_key + g * key_stride (g = 0, 1, ...) are searched and filled; all
@@ -187,8 +180,7 @@ NeighborTable build_neighbor_table_host_parallel(const GridIndex& index,
 /// merged table once at the end.
 NeighborTable build_neighbor_table_host_strided(
     const GridIndex& index, float eps, std::uint32_t first_key,
-    std::uint32_t key_stride, ScanMode mode = ScanMode::kFull,
-    QualitySpec quality = {});
+    std::uint32_t key_stride, ScanMode mode = ScanMode::kFull);
 
 /// Strided host fallback for IndexBackend::kBvh builds. The tree kernels
 /// have no forward stencil, so their ScanMode::kHalf cover is *id-based*:
@@ -203,6 +195,6 @@ NeighborTable build_neighbor_table_host_strided(
 NeighborTable build_neighbor_table_host_strided_idrule(
     const GridIndex& index, const RTree& rtree, float eps,
     std::uint32_t first_key, std::uint32_t key_stride,
-    ScanMode mode = ScanMode::kFull, QualitySpec quality = {});
+    ScanMode mode = ScanMode::kFull);
 
 }  // namespace hdbscan

@@ -25,36 +25,16 @@ namespace {
 template <typename Emit>
 void for_each_neighbor(const GridView& view, ScanMode mode, PointId pid,
                        const Point2& point, float eps2,
-                       const QualitySpec& quality, cudasim::ThreadCtx& ctx,
-                       Emit&& emit) {
-  const bool sampled = quality.sampled();
+                       cudasim::ThreadCtx& ctx, Emit&& emit) {
   auto scan_range = [&](std::uint32_t begin, std::uint32_t end) {
     const std::uint32_t candidates = end - begin;
-    if (!sampled) {
-      ctx.count_global_bytes(static_cast<std::uint64_t>(candidates) *
-                             (sizeof(PointId) + sizeof(Point2)));
-      ctx.count_flops(static_cast<std::uint64_t>(candidates) * 6);
-      for (std::uint32_t a = begin; a < end; ++a) {
-        const PointId candidate = view.lookup[a];
-        if (dist2(point, view.points[candidate]) <= eps2) emit(candidate);
-      }
-      return;
-    }
-    // Subsampled: the Bernoulli trial runs on the id pair *before* the
-    // candidate's point is read, so a dropped candidate costs only its
-    // 4 B id read plus the ~4-op hash; kept candidates pay the usual 8 B
-    // point fetch and 6-op distance test.
-    std::uint64_t kept = 0;
+    ctx.count_global_bytes(static_cast<std::uint64_t>(candidates) *
+                           (sizeof(PointId) + sizeof(Point2)));
+    ctx.count_flops(static_cast<std::uint64_t>(candidates) * 6);
     for (std::uint32_t a = begin; a < end; ++a) {
       const PointId candidate = view.lookup[a];
-      if (!quality.keep_pair(pid, candidate)) continue;
-      ++kept;
       if (dist2(point, view.points[candidate]) <= eps2) emit(candidate);
     }
-    ctx.count_global_bytes(
-        static_cast<std::uint64_t>(candidates) * sizeof(PointId) +
-        kept * sizeof(Point2));
-    ctx.count_flops(static_cast<std::uint64_t>(candidates) * 4 + kept * 6);
   };
 
   // `params` keeps the global geometry even on a shard slab, so cell ids
@@ -96,10 +76,8 @@ void for_each_neighbor(const GridView& view, ScanMode mode, PointId pid,
 template <typename Emit>
 void for_each_neighbor_bvh(const BvhView& view, ScanMode mode, PointId pid,
                            const Point2& point, float eps2,
-                           const QualitySpec& quality, cudasim::ThreadCtx& ctx,
-                           Emit&& emit) {
+                           cudasim::ThreadCtx& ctx, Emit&& emit) {
   const bool half = mode == ScanMode::kHalf;
-  const bool sampled = quality.sampled();
   std::uint32_t stack[160];
   unsigned depth = 0;
   stack[depth++] = view.root;
@@ -111,24 +89,16 @@ void for_each_neighbor_bvh(const BvhView& view, ScanMode mode, PointId pid,
     if (node.mbr.min_dist2(point) > eps2) continue;
     if (node.leaf != 0) {
       std::uint64_t tested = 0;
-      std::uint64_t hashed = 0;
       for (std::uint32_t i = node.first; i < node.first + node.count; ++i) {
         const PointId cand = view.leaf_ids[i];
         if (half && cand < pid) continue;  // id-ownership rule
-        if (sampled) {
-          // Same pre-point-read Bernoulli trial as the grid stencil: the
-          // MBR prune only ever discards non-neighbors, so both backends
-          // sample the identical pair set.
-          ++hashed;
-          if (!quality.keep_pair(pid, cand)) continue;
-        }
         ++tested;
         if (dist2(point, view.leaf_points[i]) <= eps2) emit(cand);
       }
       ctx.count_global_bytes(
           static_cast<std::uint64_t>(node.count) * sizeof(PointId) +
           tested * sizeof(Point2));
-      ctx.count_flops(hashed * 4 + tested * 6);
+      ctx.count_flops(tested * 6);
     } else {
       for (std::uint32_t c = node.first; c < node.first + node.count; ++c) {
         stack[depth++] = c;
@@ -147,7 +117,6 @@ struct GlobalKernelBody {
   BatchSpec batch;
   ResultSinkView sink;
   ScanMode mode;
-  QualitySpec quality;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -163,7 +132,7 @@ struct GlobalKernelBody {
     // Values go out through the emission map (identity on the full index;
     // local->global on shard slabs): one extra 4 B read per emitted pair,
     // which buys the merge freedom from ever touching individual pairs.
-    for_each_neighbor(view, mode, pid, point, eps2, quality, ctx,
+    for_each_neighbor(view, mode, pid, point, eps2, ctx,
                       [&](PointId candidate) {
                         if (view.emit_ids != nullptr) {
                           ctx.count_global_bytes(sizeof(PointId));
@@ -181,7 +150,6 @@ struct SharedKernelParams {
   float eps2;
   ResultSinkView sink;
   ScanMode mode;
-  QualitySpec quality;
 };
 
 // Shared-memory arena layout for GPUCalcShared (block size B):
@@ -291,16 +259,10 @@ cudasim::KernelTask shared_kernel_thread(cudasim::CoopCtx& ctx,
           const Point2 mine = origin_pts[tid];
           const PointId my_id = origin_ids[tid];
           const bool own_half = half && c == 0;
-          const bool sampled = p.quality.sampled();
           std::uint64_t tested = 0;
-          std::uint64_t hashed = 0;
           for (std::uint32_t j = 0; j < tile; ++j) {
             const PointId cand = comp_ids[j];
             if (own_half && cand < my_id) continue;
-            if (sampled) {
-              ++hashed;  // id hash before the shared point read
-              if (!p.quality.keep_pair(my_id, cand)) continue;
-            }
             ++tested;
             if (dist2(mine, comp_pts[j]) <= p.eps2) {
               if (!half) {
@@ -318,7 +280,7 @@ cudasim::KernelTask shared_kernel_thread(cudasim::CoopCtx& ctx,
                                  static_cast<std::uint64_t>(tile) *
                                      sizeof(PointId) +
                                  tested * sizeof(Point2));
-          ctx.count_flops(hashed * 4 + tested * 6);
+          ctx.count_flops(tested * 6);
         }
         // Keep the tile stable until every thread is done comparing.
         co_await ctx.sync();
@@ -340,7 +302,6 @@ struct CountBatchKernelBody {
   BatchSpec batch;
   std::uint32_t* counts;
   ScanMode mode;
-  QualitySpec quality;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -352,7 +313,7 @@ struct CountBatchKernelBody {
     std::uint32_t neighbors = 0;
     // In kHalf the counts are *forward-row* lengths — no atomics on other
     // rows; the host transpose restores the back rows after the merge.
-    for_each_neighbor(view, mode, pid, point, eps2, quality, ctx,
+    for_each_neighbor(view, mode, pid, point, eps2, ctx,
                       [&](PointId) { ++neighbors; });
     counts[gid] = neighbors;
     ctx.count_global_bytes(sizeof(std::uint32_t));
@@ -371,7 +332,6 @@ struct FillCsrKernelBody {
   const std::uint32_t* offsets;
   PointId* values;
   ScanMode mode;
-  QualitySpec quality;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -383,7 +343,7 @@ struct FillCsrKernelBody {
     PointId* out = values + offsets[gid];
     // Emission-mapped values (see GlobalKernelBody): the CSR slots receive
     // globally addressed neighbor ids on shard slabs.
-    for_each_neighbor(view, mode, pid, point, eps2, quality, ctx,
+    for_each_neighbor(view, mode, pid, point, eps2, ctx,
                       [&](PointId candidate) {
                         *out++ = view.emit(candidate);
                         ctx.count_global_bytes(
@@ -402,7 +362,6 @@ struct BvhCountBatchKernelBody {
   BatchSpec batch;
   std::uint32_t* counts;
   ScanMode mode;
-  QualitySpec quality;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -412,7 +371,7 @@ struct BvhCountBatchKernelBody {
     const Point2 point = view.points[i];
     ctx.count_global_bytes(sizeof(Point2));
     std::uint32_t neighbors = 0;
-    for_each_neighbor_bvh(view, mode, pid, point, eps2, quality, ctx,
+    for_each_neighbor_bvh(view, mode, pid, point, eps2, ctx,
                           [&](PointId) { ++neighbors; });
     counts[gid] = neighbors;
     ctx.count_global_bytes(sizeof(std::uint32_t));
@@ -427,7 +386,6 @@ struct BvhFillCsrKernelBody {
   const std::uint32_t* offsets;
   PointId* values;
   ScanMode mode;
-  QualitySpec quality;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -437,7 +395,7 @@ struct BvhFillCsrKernelBody {
     const Point2 point = view.points[i];
     ctx.count_global_bytes(sizeof(Point2) + sizeof(std::uint32_t));
     PointId* out = values + offsets[gid];
-    for_each_neighbor_bvh(view, mode, pid, point, eps2, quality, ctx,
+    for_each_neighbor_bvh(view, mode, pid, point, eps2, ctx,
                           [&](PointId candidate) {
                             *out++ = candidate;
                             ctx.count_global_bytes(sizeof(PointId));
@@ -469,16 +427,15 @@ struct FusedKernelBody {
   float eps2;
   BatchSpec batch;
   ScanMode mode;
-  QualitySpec quality;
   StreamingDbscan::FusedView fu;
   StreamingDbscan* sink;
 
   void traverse(PointId pid, const Point2& point, cudasim::ThreadCtx& ctx,
                 auto&& emit) const {
     if constexpr (std::is_same_v<View, GridView>) {
-      for_each_neighbor(view, mode, pid, point, eps2, quality, ctx, emit);
+      for_each_neighbor(view, mode, pid, point, eps2, ctx, emit);
     } else {
-      for_each_neighbor_bvh(view, mode, pid, point, eps2, quality, ctx, emit);
+      for_each_neighbor_bvh(view, mode, pid, point, eps2, ctx, emit);
     }
   }
 
@@ -590,32 +547,30 @@ struct CountKernelBody {
 cudasim::KernelStats run_calc_global(cudasim::Device& device,
                                      const GridView& view, float eps,
                                      BatchSpec batch, ResultSinkView sink,
-                                     ScanMode mode, unsigned block_size,
-                                     QualitySpec quality) {
+                                     ScanMode mode, unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.query_count());
   const unsigned grid = grid_dim_for(points, block_size);
-  GlobalKernelBody body{view, eps * eps, batch, sink, mode, quality};
+  GlobalKernelBody body{view, eps * eps, batch, sink, mode};
   return cudasim::run_flat_kernel(device, grid, block_size, body);
 }
 
 void enqueue_calc_global(cudasim::Stream& stream, const GridView& view,
                          float eps, BatchSpec batch, ResultSinkView sink,
                          ScanMode mode, cudasim::KernelStats* stats_out,
-                         unsigned block_size, QualitySpec quality) {
+                         unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.query_count());
   const unsigned grid = grid_dim_for(points, block_size);
-  GlobalKernelBody body{view, eps * eps, batch, sink, mode, quality};
+  GlobalKernelBody body{view, eps * eps, batch, sink, mode};
   stream.launch(grid, block_size, body, stats_out);
 }
 
 cudasim::KernelStats run_count_batch(cudasim::Device& device,
                                      const GridView& view, float eps,
                                      BatchSpec batch, std::uint32_t* counts,
-                                     ScanMode mode, unsigned block_size,
-                                     QualitySpec quality) {
+                                     ScanMode mode, unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.query_count());
   const unsigned grid = grid_dim_for(points, block_size);
-  CountBatchKernelBody body{view, eps * eps, batch, counts, mode, quality};
+  CountBatchKernelBody body{view, eps * eps, batch, counts, mode};
   return cudasim::run_flat_kernel(device, grid, block_size, body);
 }
 
@@ -624,22 +579,21 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device,
                                   BatchSpec batch,
                                   const std::uint32_t* offsets,
                                   PointId* values, ScanMode mode,
-                                  unsigned block_size, QualitySpec quality) {
+                                  unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.query_count());
   const unsigned grid = grid_dim_for(points, block_size);
   FillCsrKernelBody body{view,   eps * eps, batch,
-                         offsets, values,    mode, quality};
+                         offsets, values,    mode};
   return cudasim::run_flat_kernel(device, grid, block_size, body);
 }
 
 cudasim::KernelStats run_count_batch(cudasim::Device& device,
                                      const BvhView& view, float eps,
                                      BatchSpec batch, std::uint32_t* counts,
-                                     ScanMode mode, unsigned block_size,
-                                     QualitySpec quality) {
+                                     ScanMode mode, unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.query_count());
   const unsigned grid = grid_dim_for(points, block_size);
-  BvhCountBatchKernelBody body{view, eps * eps, batch, counts, mode, quality};
+  BvhCountBatchKernelBody body{view, eps * eps, batch, counts, mode};
   return cudasim::run_flat_kernel(device, grid, block_size, body);
 }
 
@@ -648,39 +602,33 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device,
                                   BatchSpec batch,
                                   const std::uint32_t* offsets,
                                   PointId* values, ScanMode mode,
-                                  unsigned block_size, QualitySpec quality) {
+                                  unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.query_count());
   const unsigned grid = grid_dim_for(points, block_size);
   BvhFillCsrKernelBody body{view,    eps * eps, batch,
-                            offsets, values,    mode, quality};
+                            offsets, values,    mode};
   return cudasim::run_flat_kernel(device, grid, block_size, body);
 }
 
 cudasim::KernelStats run_fused_batch(cudasim::Device& device,
                                      const GridView& view, float eps,
                                      BatchSpec batch, StreamingDbscan& sink,
-                                     ScanMode mode, unsigned block_size,
-                                     QualitySpec quality) {
+                                     ScanMode mode, unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.query_count());
   const unsigned grid = grid_dim_for(points, block_size);
-  FusedKernelBody<GridView> body{view,    eps * eps,
-                                 batch,   mode,
-                                 quality, sink.fused_view(),
-                                 &sink};
+  FusedKernelBody<GridView> body{view, eps * eps, batch, mode,
+                                 sink.fused_view(), &sink};
   return cudasim::run_flat_kernel(device, grid, block_size, body);
 }
 
 cudasim::KernelStats run_fused_batch(cudasim::Device& device,
                                      const BvhView& view, float eps,
                                      BatchSpec batch, StreamingDbscan& sink,
-                                     ScanMode mode, unsigned block_size,
-                                     QualitySpec quality) {
+                                     ScanMode mode, unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.query_count());
   const unsigned grid = grid_dim_for(points, block_size);
-  FusedKernelBody<BvhView> body{view,    eps * eps,
-                                batch,   mode,
-                                quality, sink.fused_view(),
-                                &sink};
+  FusedKernelBody<BvhView> body{view, eps * eps, batch, mode,
+                                sink.fused_view(), &sink};
   return cudasim::run_flat_kernel(device, grid, block_size, body);
 }
 
@@ -695,9 +643,8 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
                                      const std::uint32_t* schedule,
                                      std::uint32_t num_cells, float eps,
                                      ResultSinkView sink, ScanMode mode,
-                                     unsigned block_size,
-                                     QualitySpec quality) {
-  SharedKernelParams params{view, schedule, eps * eps, sink, mode, quality};
+                                     unsigned block_size) {
+  SharedKernelParams params{view, schedule, eps * eps, sink, mode};
   auto gen = [params](cudasim::CoopCtx& ctx) {
     return shared_kernel_thread(ctx, params);
   };
@@ -709,8 +656,8 @@ void enqueue_calc_shared(cudasim::Stream& stream, const GridView& view,
                          const std::uint32_t* schedule, std::uint32_t num_cells,
                          float eps, ResultSinkView sink, ScanMode mode,
                          cudasim::KernelStats* stats_out,
-                         unsigned block_size, QualitySpec quality) {
-  SharedKernelParams params{view, schedule, eps * eps, sink, mode, quality};
+                         unsigned block_size) {
+  SharedKernelParams params{view, schedule, eps * eps, sink, mode};
   auto gen = [params](cudasim::CoopCtx& ctx) {
     return shared_kernel_thread(ctx, params);
   };

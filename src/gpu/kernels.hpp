@@ -50,19 +50,11 @@ struct BatchSpec {
 /// *forward* rows are emitted (same-cell candidates at/after the query's
 /// lookup position plus the forward stencil); the caller restores symmetry
 /// afterwards via NeighborTable::expand_half_table.
-/// Every traversal entry point below takes a trailing `quality`: under
-/// ClusterQuality::kSubsampled each candidate pair is run through the
-/// seeded Bernoulli filter *before* the candidate's point is read, so a
-/// dropped pair costs only the 4-byte id read plus the hash — the point
-/// fetch and distance test are skipped. Self-pairs always pass. The
-/// estimation kernel stays exact (the estimate is a property of the data);
-/// the planner scales it by the sample rate instead.
 cudasim::KernelStats run_calc_global(cudasim::Device& device,
                                      const GridView& view, float eps,
                                      BatchSpec batch, ResultSinkView sink,
                                      ScanMode mode = ScanMode::kFull,
-                                     unsigned block_size = kDefaultBlockSize,
-                                     QualitySpec quality = {});
+                                     unsigned block_size = kDefaultBlockSize);
 
 /// GPUCalcGlobal, enqueued on a stream. `stats_out` (optional) is written
 /// when the launch completes.
@@ -70,8 +62,7 @@ void enqueue_calc_global(cudasim::Stream& stream, const GridView& view,
                          float eps, BatchSpec batch, ResultSinkView sink,
                          ScanMode mode = ScanMode::kFull,
                          cudasim::KernelStats* stats_out = nullptr,
-                         unsigned block_size = kDefaultBlockSize,
-                         QualitySpec quality = {});
+                         unsigned block_size = kDefaultBlockSize);
 
 /// GPUCalcShared, synchronous. `schedule` maps each block to a (non-empty)
 /// cell id; `num_cells` is the grid dimension. Under ScanMode::kHalf each
@@ -83,8 +74,7 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
                                      std::uint32_t num_cells, float eps,
                                      ResultSinkView sink,
                                      ScanMode mode = ScanMode::kFull,
-                                     unsigned block_size = kDefaultBlockSize,
-                                     QualitySpec quality = {});
+                                     unsigned block_size = kDefaultBlockSize);
 
 /// GPUCalcShared, enqueued on a stream.
 void enqueue_calc_shared(cudasim::Stream& stream, const GridView& view,
@@ -92,8 +82,7 @@ void enqueue_calc_shared(cudasim::Stream& stream, const GridView& view,
                          float eps, ResultSinkView sink,
                          ScanMode mode = ScanMode::kFull,
                          cudasim::KernelStats* stats_out = nullptr,
-                         unsigned block_size = kDefaultBlockSize,
-                         QualitySpec quality = {});
+                         unsigned block_size = kDefaultBlockSize);
 
 /// Two-pass CSR builder, pass 1: per-point neighbor counts for one batch.
 /// Thread g writes |N_eps(point g of the batch)| to counts[g]
@@ -104,8 +93,7 @@ cudasim::KernelStats run_count_batch(cudasim::Device& device,
                                      const GridView& view, float eps,
                                      BatchSpec batch, std::uint32_t* counts,
                                      ScanMode mode = ScanMode::kFull,
-                                     unsigned block_size = kDefaultBlockSize,
-                                     QualitySpec quality = {});
+                                     unsigned block_size = kDefaultBlockSize);
 
 /// Two-pass CSR builder, pass 2: fills neighbor ids into exact CSR slots.
 /// `offsets` is the exclusive prefix scan of the pass-1 counts; thread g
@@ -117,8 +105,7 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device,
                                   const std::uint32_t* offsets,
                                   PointId* values,
                                   ScanMode mode = ScanMode::kFull,
-                                  unsigned block_size = kDefaultBlockSize,
-                                  QualitySpec quality = {});
+                                  unsigned block_size = kDefaultBlockSize);
 
 // --- IndexBackend::kBvh traversal variants -------------------------------
 //
@@ -137,8 +124,7 @@ cudasim::KernelStats run_count_batch(cudasim::Device& device,
                                      const BvhView& view, float eps,
                                      BatchSpec batch, std::uint32_t* counts,
                                      ScanMode mode = ScanMode::kFull,
-                                     unsigned block_size = kDefaultBlockSize,
-                                     QualitySpec quality = {});
+                                     unsigned block_size = kDefaultBlockSize);
 
 /// Two-pass CSR pass 2 over the BVH; `mode` must match the count pass.
 cudasim::KernelStats run_fill_csr(cudasim::Device& device,
@@ -147,8 +133,7 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device,
                                   const std::uint32_t* offsets,
                                   PointId* values,
                                   ScanMode mode = ScanMode::kFull,
-                                  unsigned block_size = kDefaultBlockSize,
-                                  QualitySpec quality = {});
+                                  unsigned block_size = kDefaultBlockSize);
 
 // --- Fused no-table clustering traversal (ClusterMode::kFused) -----------
 //
@@ -168,16 +153,14 @@ cudasim::KernelStats run_fused_batch(cudasim::Device& device,
                                      const GridView& view, float eps,
                                      BatchSpec batch, StreamingDbscan& sink,
                                      ScanMode mode = ScanMode::kHalf,
-                                     unsigned block_size = kDefaultBlockSize,
-                                     QualitySpec quality = {});
+                                     unsigned block_size = kDefaultBlockSize);
 
 /// Fused traversal over the BVH backend.
 cudasim::KernelStats run_fused_batch(cudasim::Device& device,
                                      const BvhView& view, float eps,
                                      BatchSpec batch, StreamingDbscan& sink,
                                      ScanMode mode = ScanMode::kHalf,
-                                     unsigned block_size = kDefaultBlockSize,
-                                     QualitySpec quality = {});
+                                     unsigned block_size = kDefaultBlockSize);
 
 /// Shared-memory bytes GPUCalcShared needs for a given block size (origin
 /// and comparison tiles plus the neighbor-cell-id scratch).

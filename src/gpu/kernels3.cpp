@@ -15,35 +15,16 @@ namespace {
 template <typename Emit>
 void for_each_neighbor3(const GridView3& view, ScanMode mode, PointId pid,
                         const Point3& point, float eps2,
-                        const QualitySpec& quality, cudasim::ThreadCtx& ctx,
-                        Emit&& emit) {
-  const bool sampled = quality.sampled();
+                        cudasim::ThreadCtx& ctx, Emit&& emit) {
   auto scan_range = [&](std::uint32_t begin, std::uint32_t end) {
     const std::uint32_t candidates = end - begin;
-    if (!sampled) {
-      ctx.count_global_bytes(static_cast<std::uint64_t>(candidates) *
-                             (sizeof(PointId) + sizeof(Point3)));
-      ctx.count_flops(static_cast<std::uint64_t>(candidates) * 9);
-      for (std::uint32_t a = begin; a < end; ++a) {
-        const PointId candidate = view.lookup[a];
-        if (dist2(point, view.points[candidate]) <= eps2) emit(candidate);
-      }
-      return;
-    }
-    // Subsampled (see the 2-D scan_range): dropped candidates cost the
-    // 4 B id read + ~4-op hash; kept ones add the 12 B point fetch and
-    // the 9-op distance test.
-    std::uint64_t kept = 0;
+    ctx.count_global_bytes(static_cast<std::uint64_t>(candidates) *
+                           (sizeof(PointId) + sizeof(Point3)));
+    ctx.count_flops(static_cast<std::uint64_t>(candidates) * 9);
     for (std::uint32_t a = begin; a < end; ++a) {
       const PointId candidate = view.lookup[a];
-      if (!quality.keep_pair(pid, candidate)) continue;
-      ++kept;
       if (dist2(point, view.points[candidate]) <= eps2) emit(candidate);
     }
-    ctx.count_global_bytes(
-        static_cast<std::uint64_t>(candidates) * sizeof(PointId) +
-        kept * sizeof(Point3));
-    ctx.count_flops(static_cast<std::uint64_t>(candidates) * 4 + kept * 9);
   };
 
   const std::uint32_t cell = view.params.linear_cell(point);
@@ -77,7 +58,6 @@ struct GlobalKernel3Body {
   BatchSpec batch;
   ResultSinkView sink;
   ScanMode mode;
-  QualitySpec quality;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -87,7 +67,7 @@ struct GlobalKernel3Body {
     const Point3 point = view.points[i];
     ctx.count_global_bytes(sizeof(Point3));
     StagedSink staged(sink);
-    for_each_neighbor3(view, mode, pid, point, eps2, quality, ctx,
+    for_each_neighbor3(view, mode, pid, point, eps2, ctx,
                        [&](PointId candidate) {
                          staged.push(NeighborPair{pid, candidate}, ctx);
                        });
@@ -103,7 +83,6 @@ struct CountBatch3Body {
   BatchSpec batch;
   std::uint32_t* counts;
   ScanMode mode;
-  QualitySpec quality;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -113,7 +92,7 @@ struct CountBatch3Body {
     const Point3 point = view.points[i];
     ctx.count_global_bytes(sizeof(Point3));
     std::uint32_t matches = 0;
-    for_each_neighbor3(view, mode, pid, point, eps2, quality, ctx,
+    for_each_neighbor3(view, mode, pid, point, eps2, ctx,
                        [&](PointId) { ++matches; });
     counts[gid] = matches;
     ctx.count_global_bytes(sizeof(std::uint32_t));
@@ -129,7 +108,6 @@ struct FillCsr3Body {
   const std::uint32_t* offsets;
   PointId* values;
   ScanMode mode;
-  QualitySpec quality;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -139,7 +117,7 @@ struct FillCsr3Body {
     const Point3 point = view.points[i];
     ctx.count_global_bytes(sizeof(Point3) + sizeof(std::uint32_t));
     PointId* out = values + offsets[gid];
-    for_each_neighbor3(view, mode, pid, point, eps2, quality, ctx,
+    for_each_neighbor3(view, mode, pid, point, eps2, ctx,
                        [&](PointId candidate) {
                          *out++ = candidate;
                          ctx.count_global_bytes(sizeof(PointId));
@@ -162,7 +140,6 @@ struct FusedKernel3Body {
   float eps2;
   BatchSpec batch;
   ScanMode mode;
-  QualitySpec quality;
   StreamingDbscan::FusedView fu;
   StreamingDbscan* sink;
 
@@ -180,7 +157,7 @@ struct FusedKernel3Body {
     std::uint64_t seen = 0;
     std::uint64_t streamed = 0;
 
-    for_each_neighbor3(view, mode, pid, point, eps2, quality, ctx,
+    for_each_neighbor3(view, mode, pid, point, eps2, ctx,
                        [&](PointId cand) {
       ++own_degree;  // self pair included: degree counts the point itself
       if (cand == pid) return;
@@ -262,25 +239,23 @@ struct CountKernel3Body {
 cudasim::KernelStats run_calc_global3(cudasim::Device& device,
                                       const GridView3& view, float eps,
                                       BatchSpec batch, ResultSinkView sink,
-                                      ScanMode mode, unsigned block_size,
-                                      QualitySpec quality) {
+                                      ScanMode mode, unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.num_points);
   const unsigned grid = (points + block_size - 1) / block_size;
   return cudasim::run_flat_kernel(
       device, grid, block_size,
-      GlobalKernel3Body{view, eps * eps, batch, sink, mode, quality});
+      GlobalKernel3Body{view, eps * eps, batch, sink, mode});
 }
 
 cudasim::KernelStats run_count_batch3(cudasim::Device& device,
                                       const GridView3& view, float eps,
                                       BatchSpec batch, std::uint32_t* counts,
-                                      ScanMode mode, unsigned block_size,
-                                      QualitySpec quality) {
+                                      ScanMode mode, unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.num_points);
   const unsigned grid = (points + block_size - 1) / block_size;
   return cudasim::run_flat_kernel(
       device, grid, block_size,
-      CountBatch3Body{view, eps * eps, batch, counts, mode, quality});
+      CountBatch3Body{view, eps * eps, batch, counts, mode});
 }
 
 cudasim::KernelStats run_fill_csr3(cudasim::Device& device,
@@ -288,24 +263,23 @@ cudasim::KernelStats run_fill_csr3(cudasim::Device& device,
                                    BatchSpec batch,
                                    const std::uint32_t* offsets,
                                    PointId* values, ScanMode mode,
-                                   unsigned block_size, QualitySpec quality) {
+                                   unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.num_points);
   const unsigned grid = (points + block_size - 1) / block_size;
   return cudasim::run_flat_kernel(
       device, grid, block_size,
-      FillCsr3Body{view, eps * eps, batch, offsets, values, mode, quality});
+      FillCsr3Body{view, eps * eps, batch, offsets, values, mode});
 }
 
 cudasim::KernelStats run_fused_batch3(cudasim::Device& device,
                                       const GridView3& view, float eps,
                                       BatchSpec batch, StreamingDbscan& sink,
-                                      ScanMode mode, unsigned block_size,
-                                      QualitySpec quality) {
+                                      ScanMode mode, unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.num_points);
   const unsigned grid = (points + block_size - 1) / block_size;
   return cudasim::run_flat_kernel(
       device, grid, block_size,
-      FusedKernel3Body{view, eps * eps, batch, mode, quality,
+      FusedKernel3Body{view, eps * eps, batch, mode,
                        sink.fused_view(), &sink});
 }
 

@@ -19,8 +19,7 @@ cudasim::KernelStats run_calc_global3(cudasim::Device& device,
                                       const GridView3& view, float eps,
                                       BatchSpec batch, ResultSinkView sink,
                                       ScanMode mode = ScanMode::kFull,
-                                      unsigned block_size = kDefaultBlockSize,
-                                      QualitySpec quality = {});
+                                      unsigned block_size = kDefaultBlockSize);
 
 /// 3-D two-pass CSR builder, pass 1: per-point neighbor counts (see the
 /// 2-D run_count_batch). kHalf counts forward rows only.
@@ -28,8 +27,7 @@ cudasim::KernelStats run_count_batch3(cudasim::Device& device,
                                       const GridView3& view, float eps,
                                       BatchSpec batch, std::uint32_t* counts,
                                       ScanMode mode = ScanMode::kFull,
-                                      unsigned block_size = kDefaultBlockSize,
-                                      QualitySpec quality = {});
+                                      unsigned block_size = kDefaultBlockSize);
 
 /// 3-D two-pass CSR builder, pass 2: fill into exact CSR slots (see the
 /// 2-D run_fill_csr). `mode` must match the count pass.
@@ -39,8 +37,7 @@ cudasim::KernelStats run_fill_csr3(cudasim::Device& device,
                                    const std::uint32_t* offsets,
                                    PointId* values,
                                    ScanMode mode = ScanMode::kFull,
-                                   unsigned block_size = kDefaultBlockSize,
-                                   QualitySpec quality = {});
+                                   unsigned block_size = kDefaultBlockSize);
 
 /// 3-D fused no-table clustering kernel (see the 2-D run_fused_batch):
 /// counts degrees and unions both-core edges directly into `sink`'s
@@ -52,8 +49,7 @@ cudasim::KernelStats run_fused_batch3(cudasim::Device& device,
                                       const GridView3& view, float eps,
                                       BatchSpec batch, StreamingDbscan& sink,
                                       ScanMode mode = ScanMode::kHalf,
-                                      unsigned block_size = kDefaultBlockSize,
-                                      QualitySpec quality = {});
+                                      unsigned block_size = kDefaultBlockSize);
 
 /// 3-D neighbor-count kernel (estimator / exact census with stride 1).
 std::uint64_t run_count_kernel3(cudasim::Device& device, const GridView3& view,

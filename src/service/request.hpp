@@ -59,13 +59,12 @@ struct JobSpec {
   bool fused = false;
   /// Quality knob for this request (DESIGN.md §16). kExact (the default)
   /// inherits the service policy's quality; a non-exact spec overrides it
-  /// for this job only. Quality is part of the coalescing identity and of
-  /// the TableCache key, so an exact job can never adopt a subsampled
-  /// table (and vice versa), and two subsampled jobs share a build only
-  /// when mode, rate, and seed all match. kCellGraph is incompatible with
-  /// `fused` (the cell graph replaces the traversal the fused path would
-  /// fuse into) and such jobs are rejected at admission with a reason.
-  QualitySpec quality{};
+  /// for this job only. Quality is part of the coalescing identity;
+  /// cell-graph jobs never touch the TableCache. kCellGraph is incompatible
+  /// with `fused` (the cell graph replaces the traversal the fused path
+  /// would fuse into) and such jobs are rejected at admission with a
+  /// reason.
+  ClusterQuality quality = ClusterQuality::kExact;
 };
 
 /// Terminal (and transient) states of a request. Every job ends in one of
@@ -135,7 +134,9 @@ struct StageBreakdown {
 /// Everything the service reports back for one job.
 struct JobResult {
   JobState state = JobState::kQueued;
-  std::string reject_reason;  ///< human-readable cause for kRejected/kShed
+  /// Human-readable cause for kRejected/kShed, and for a kFailed job whose
+  /// input the cell-graph key cannot represent.
+  std::string reject_reason;
   FailureReason failure = FailureReason::kNone;  ///< cause for kFailed &c.
 
   bool cache_hit = false;   ///< served from the eps-keyed table cache

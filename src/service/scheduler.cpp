@@ -35,25 +35,10 @@ std::uint32_t eps_bits(float eps) noexcept {
 /// inherits the service policy's quality, so an operator can flip the
 /// whole service to a cheaper mode without touching clients; a non-exact
 /// spec overrides the policy for that job alone.
-QualitySpec effective_quality(const JobSpec& spec,
-                              const BatchPolicy& policy) noexcept {
-  return spec.quality.mode == ClusterQuality::kExact ? policy.quality
-                                                     : spec.quality;
-}
-
-/// Cache key for a group's build. Rate/seed only discriminate subsampled
-/// entries; for exact (and the never-cached cell-graph) they stay at the
-/// Key defaults so exact keys are unchanged from before the quality knob.
-TableCache::Key make_key(const JobSpec& lead, const QualitySpec& q,
-                         const BatchPolicy& policy) {
-  TableCache::Key key{lead.dataset, eps_bits(lead.eps), policy.index_backend,
-                      policy.scan_mode};
-  key.quality = q.mode;
-  if (q.mode == ClusterQuality::kSubsampled) {
-    key.sample_rate_bits = q.sample_rate_bits();
-    key.sample_seed = q.seed;
-  }
-  return key;
+ClusterQuality effective_quality(const JobSpec& spec,
+                                 const BatchPolicy& policy) noexcept {
+  return spec.quality == ClusterQuality::kExact ? policy.quality
+                                                : spec.quality;
 }
 
 void publish_outcome(JobState state) {
@@ -252,8 +237,8 @@ void ClusterService::submit_locked(PendingPtr job, ReplayState& rs) {
     record_terminal(*job, rs, JobState::kRejected, std::move(r));
     return;
   }
-  const QualitySpec jq = effective_quality(job->spec, options_.policy);
-  if (job->spec.fused && jq.mode == ClusterQuality::kCellGraph) {
+  if (job->spec.fused && effective_quality(job->spec, options_.policy) ==
+                             ClusterQuality::kCellGraph) {
     JobResult r;
     r.reject_reason =
         "fused is incompatible with cellgraph quality: the cell graph "
@@ -262,26 +247,7 @@ void ClusterService::submit_locked(PendingPtr job, ReplayState& rs) {
     record_terminal(*job, rs, JobState::kRejected, std::move(r));
     return;
   }
-  if (jq.mode == ClusterQuality::kSubsampled &&
-      (jq.sample_rate <= 0.0f || jq.sample_rate > 1.0f)) {
-    JobResult r;
-    r.reject_reason = "subsampled quality requires sample_rate in (0, 1], got " +
-                      std::to_string(jq.sample_rate);
-    job->admission_seconds = admission_timer.seconds();
-    record_terminal(*job, rs, JobState::kRejected, std::move(r));
-    return;
-  }
-  auto [pairs, bytes] = price(job->spec.dataset, job->spec.eps);
-  if (jq.sampled()) {
-    // Admission prices what the build will actually emit: a subsampled
-    // build keeps ~rate of the pairs, so charging the exact price would
-    // reject the very jobs the knob exists to admit.
-    pairs = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(static_cast<double>(pairs) *
-                                      jq.sample_rate));
-    bytes = pairs * sizeof(PointId) +
-            ds->second.points.size() * 2 * sizeof(std::uint32_t);
-  }
+  const auto [pairs, bytes] = price(job->spec.dataset, job->spec.eps);
   job->priced_pairs = pairs;
   job->priced_bytes = bytes;
   rs.results[job->index].priced_pairs = pairs;
@@ -366,12 +332,11 @@ ClusterService::PendingPtr ClusterService::pop_group(
     // Fused jobs only coalesce with fused jobs of the same minpts: the
     // union-find threshold is baked into the fused traversal, and a
     // table job cannot share a build that produces no table.
-    // Quality is part of the build's identity too: an exact job must
-    // never ride a subsampled build (it would silently get approximate
-    // labels), and subsampled jobs only share when rate and seed match.
-    // Cell-graph "builds" are the whole clustering, so like fused they
-    // additionally require equal minpts.
-    const QualitySpec lead_q = effective_quality(leader->spec, options_.policy);
+    // Quality is part of the build's identity too: cell-graph "builds"
+    // are the whole clustering, so like fused they additionally require
+    // equal minpts.
+    const ClusterQuality lead_q =
+        effective_quality(leader->spec, options_.policy);
     for (auto& per_class : queues_) {
       for (auto& [tenant, q] : per_class) {
         for (auto it = q.begin(); it != q.end();) {
@@ -379,8 +344,7 @@ ClusterService::PendingPtr ClusterService::pop_group(
               eps_bits((*it)->spec.eps) == eps_bits(leader->spec.eps) &&
               (*it)->spec.fused == leader->spec.fused &&
               effective_quality((*it)->spec, options_.policy) == lead_q &&
-              (!(leader->spec.fused ||
-                 lead_q.mode == ClusterQuality::kCellGraph) ||
+              (!(leader->spec.fused || lead_q == ClusterQuality::kCellGraph) ||
                (*it)->spec.minpts == leader->spec.minpts)) {
             remove_queued_locked(**it);
             // The member's work happens under the leader's request id;
@@ -598,8 +562,10 @@ void ClusterService::process_group(PendingPtr leader,
 
   const JobSpec& lead = runnable.front()->spec;
   const Dataset& ds = datasets_.at(lead.dataset);
-  const QualitySpec quality = effective_quality(lead, options_.policy);
-  const TableCache::Key key = make_key(lead, quality, options_.policy);
+  const ClusterQuality quality = effective_quality(lead, options_.policy);
+  const TableCache::Key key{lead.dataset, eps_bits(lead.eps),
+                            options_.policy.index_backend,
+                            options_.policy.scan_mode};
   const bool coalesced_build = runnable.size() > 1;
   if (coalesced_build) {
     std::lock_guard slock(stats_mutex_);
@@ -615,8 +581,10 @@ void ClusterService::process_group(PendingPtr leader,
   // --- Cell-graph quality: the whole clustering is one host pass over
   // the eps/sqrt(d) cell grid — no neighbor table, no cache entry, no
   // device occupancy. Coalescing guaranteed equal minpts, so one run
-  // serves the group; labels come back in input order (no unmap). ---
-  if (quality.mode == ClusterQuality::kCellGraph) {
+  // serves the group; labels come back in input order (no unmap). Input
+  // the cell key cannot represent is refused with a reason that ends the
+  // group's jobs instead of the worker. ---
+  if (quality == ClusterQuality::kCellGraph) {
     const cudasim::DeviceConfig* cfg = nullptr;
     for (cudasim::Device* d : devices_) {
       if (!d->lost()) {
@@ -627,9 +595,21 @@ void ClusterService::process_group(PendingPtr leader,
     const cudasim::DeviceConfig reference{};  // modeled costs only
     WallTimer t;
     CellGraphReport cg;
-    const ClusterResult labels = cell_graph_dbscan(
-        ds.points, lead.eps, lead.minpts, cfg != nullptr ? *cfg : reference,
-        &cg);
+    ClusterResult labels;
+    try {
+      labels = cell_graph_dbscan(ds.points, lead.eps, lead.minpts,
+                                 cfg != nullptr ? *cfg : reference, &cg);
+    } catch (const std::exception& e) {
+      for (auto& job : runnable) {
+        JobResult r;
+        r.failure = FailureReason::kOther;
+        r.reject_reason = e.what();
+        r.modeled_start_seconds = clock;
+        r.modeled_finish_seconds = clock;
+        record_terminal(*job, rs, JobState::kFailed, std::move(r));
+      }
+      return;
+    }
     const double wall = t.seconds();
     {
       std::lock_guard slock(stats_mutex_);
@@ -668,10 +648,8 @@ void ClusterService::process_group(PendingPtr leader,
     RequestScope scope(job.trace);
     const double start = std::max(clock, job.spec.arrival_seconds);
     WallTimer t;
-    // Subsampled tables carry ~rate of each row; the SNG-rescaled
-    // threshold keeps the same points core in expectation.
-    const ClusterResult labels = dbscan_neighbor_table(
-        entry.table, quality.scaled_minpts(job.spec.minpts));
+    const ClusterResult labels =
+        dbscan_neighbor_table(entry.table, job.spec.minpts);
     clock = start + device_share + t.seconds();
     JobResult r;
     r.cache_hit = cache_hit;
@@ -731,8 +709,7 @@ void ClusterService::process_group(PendingPtr leader,
     GridIndex index = build_grid_index(ds.points, lead.eps);
     CachedTable entry;
     entry.table = build_neighbor_table_host_parallel(index, lead.eps,
-                                                     /*num_threads=*/0,
-                                                     quality);
+                                                     /*num_threads=*/0);
     entry.table.canonicalize();
     entry.original_ids = std::move(index.original_ids);
     entry.bytes = CachedTable::payload_bytes(entry.table);
@@ -758,9 +735,6 @@ void ClusterService::process_group(PendingPtr leader,
   cudasim::Device& device = *devices_[static_cast<std::size_t>(dev)];
   BatchPolicy bp = options_.policy;
   bp.metrics_labels = "service=1";
-  // The group's effective quality governs the kernels: subsampled jobs
-  // Bernoulli-filter candidate pairs at traversal time on the device.
-  bp.quality = quality;
   // Belt and braces: the builder re-installs this context on its pump
   // thread even if a future caller launches builds from an unscoped
   // thread.
@@ -787,8 +761,7 @@ void ClusterService::process_group(PendingPtr leader,
       // unions both-core edges for the whole group (coalescing guaranteed
       // equal minpts), nothing is materialized or cached. Hard failures
       // fall through to the breaker + retry ladder like any build.
-      StreamingDbscan consumer(index.size(),
-                               quality.scaled_minpts(lead.minpts));
+      StreamingDbscan consumer(index.size(), lead.minpts);
       if (token != nullptr) consumer.set_cancel_token(token);
       const BuildReport report =
           fused_cluster(device, index, lead.eps, consumer, bp);
@@ -860,8 +833,8 @@ void ClusterService::process_group(PendingPtr leader,
     std::vector<std::unique_ptr<StreamingDbscan>> clusterers;
     FanoutSink fanout;
     for (auto& job : runnable) {
-      clusterers.push_back(std::make_unique<StreamingDbscan>(
-          index.size(), quality.scaled_minpts(job->spec.minpts)));
+      clusterers.push_back(
+          std::make_unique<StreamingDbscan>(index.size(), job->spec.minpts));
       if (token != nullptr) clusterers.back()->set_cancel_token(token);
       fanout.add(clusterers.back().get());
     }

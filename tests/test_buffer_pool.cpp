@@ -227,7 +227,6 @@ TEST(BufferPool, ScriptedOomDuringBuildLeavesPoolConsistent) {
   opt.fault = std::make_shared<cudasim::FaultInjector>(plan);
   cudasim::Device dev({}, opt);
   BatchPolicy policy;
-  policy.build_mode = TableBuildMode::kPairSort;
   BuildReport report;
   {
     NeighborTableBuilder builder(dev, policy);

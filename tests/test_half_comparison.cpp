@@ -36,11 +36,9 @@ void expect_identical(NeighborTable got, NeighborTable want) {
 /// Builds the same index twice — once per scan mode — and checks byte
 /// equality after canonicalization.
 void expect_half_matches_full(const std::vector<Point2>& points, float eps,
-                              TableBuildMode build_mode,
                               bool use_shared = false) {
   const GridIndex index = build_grid_index(points, eps);
   BatchPolicy policy;
-  policy.build_mode = build_mode;
   policy.use_shared_kernel = use_shared;
 
   policy.scan_mode = ScanMode::kFull;
@@ -81,23 +79,11 @@ std::vector<Point2> cell_boundary_points(float eps) {
 }
 
 TEST(HalfComparison, CsrMatchesFullOnDuplicateCoordinates) {
-  expect_half_matches_full(duplicate_heavy_points(), 0.3f,
-                           TableBuildMode::kCsrTwoPass);
-}
-
-TEST(HalfComparison, PairSortMatchesFullOnDuplicateCoordinates) {
-  expect_half_matches_full(duplicate_heavy_points(), 0.3f,
-                           TableBuildMode::kPairSort);
+  expect_half_matches_full(duplicate_heavy_points(), 0.3f);
 }
 
 TEST(HalfComparison, CsrMatchesFullOnCellBoundaryPoints) {
-  expect_half_matches_full(cell_boundary_points(0.25f), 0.25f,
-                           TableBuildMode::kCsrTwoPass);
-}
-
-TEST(HalfComparison, PairSortMatchesFullOnCellBoundaryPoints) {
-  expect_half_matches_full(cell_boundary_points(0.25f), 0.25f,
-                           TableBuildMode::kPairSort);
+  expect_half_matches_full(cell_boundary_points(0.25f), 0.25f);
 }
 
 TEST(HalfComparison, CsrMatchesFullOnDenseSingleCell) {
@@ -107,16 +93,16 @@ TEST(HalfComparison, CsrMatchesFullOnDenseSingleCell) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     points[i].x += 0.0001f * static_cast<float>(i % 7);
   }
-  expect_half_matches_full(points, 0.5f, TableBuildMode::kCsrTwoPass);
+  expect_half_matches_full(points, 0.5f);
 }
 
 TEST(HalfComparison, SharedKernelMatchesFull) {
   // The shared-tile kernel restores symmetry device-side (push_dual), so
   // its half build needs no host expand — it must still match byte-for-byte.
   expect_half_matches_full(data::generate_sky_survey(3000, 91), 0.35f,
-                           TableBuildMode::kPairSort, /*use_shared=*/true);
+                           /*use_shared=*/true);
   expect_half_matches_full(duplicate_heavy_points(), 0.3f,
-                           TableBuildMode::kPairSort, /*use_shared=*/true);
+                           /*use_shared=*/true);
 }
 
 TEST(HalfComparison, MatchesHostOracle) {

@@ -235,6 +235,23 @@ TEST(ResultSink, StagedFlushSpanningCapacityRaisesOverflow) {
   }
 }
 
+TEST(GlobalKernel, StagedReservationCutsAtomics) {
+  // With 128-slot staging, GPUCalcGlobal needs at most one global atomic
+  // per 128 pairs plus one trailing flush per thread — at least 10x fewer
+  // atomic ops than pairs produced.
+  const auto points = data::generate_uniform(4000, 75, 10.0f, 10.0f);
+  const float eps = 0.4f;
+  const GridIndex index = build_grid_index(points, eps);
+  const std::vector<NeighborPair> expected = oracle_pairs(index, eps);
+  cudasim::Device dev({}, fast_options());
+  gpu::ResultSetDevice sink(dev, expected.size() + 16);
+  const auto stats =
+      gpu::run_calc_global(dev, GridView::of(index), eps, {}, sink.view());
+  EXPECT_EQ(sink_pairs(sink), expected);
+  ASSERT_GT(stats.work.atomic_ops, 0u);
+  EXPECT_GE(expected.size() / stats.work.atomic_ops, 10u);
+}
+
 TEST(CountKernel, FullCensusEqualsTotalPairs) {
   const KernelTestData d = make_data(2, 0.3f);
   cudasim::Device dev({}, fast_options());

@@ -32,7 +32,7 @@ TEST(Makespan, EmptyTaskListIsZero) {
 
 TEST(Makespan, ZeroWorkersThrows) {
   const std::vector<double> d{1.0};
-  EXPECT_THROW(makespan_seconds(d, 0), std::invalid_argument);
+  EXPECT_THROW((void)makespan_seconds(d, 0), std::invalid_argument);
 }
 
 TEST(Makespan, MonotoneInWorkers) {
@@ -70,12 +70,12 @@ TEST(PipelineMakespan, ExtraConsumersOverlap) {
 TEST(PipelineMakespan, MismatchedLengthsThrow) {
   const std::vector<double> a{1.0};
   const std::vector<double> b{1.0, 2.0};
-  EXPECT_THROW(pipeline_makespan_seconds(a, b, 1), std::invalid_argument);
+  EXPECT_THROW((void)pipeline_makespan_seconds(a, b, 1), std::invalid_argument);
 }
 
 TEST(PipelineMakespan, ZeroConsumersThrows) {
   const std::vector<double> a{1.0};
-  EXPECT_THROW(pipeline_makespan_seconds(a, a, 0), std::invalid_argument);
+  EXPECT_THROW((void)pipeline_makespan_seconds(a, a, 0), std::invalid_argument);
 }
 
 TEST(IntervalUnion, EmptyIsZero) {

@@ -1,13 +1,15 @@
-// The quality knob (DESIGN.md §16): QualitySpec's seeded per-pair
-// Bernoulli sampling, the SNG-rescaled core threshold, subsampled-mode
-// determinism across backends and cluster modes, and cell-graph DBSCAN's
-// agreement with the exact pipelines on separable data.
+// The quality knob (DESIGN.md §16): cell-graph DBSCAN's agreement with
+// the exact pipelines on separable data, its routing through the hybrid
+// orchestrator, and its refusal of extents the packed cell key cannot
+// represent.
 #include "common/types.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/cell_graph.hpp"
@@ -31,8 +33,8 @@ cudasim::SimulationOptions fast_options() {
 
 /// Four dense clusters on a 20-unit grid pitch, ~1 unit across each: at
 /// eps = 0.5 every cluster is internally dense and the gaps are > 19
-/// units, so exact, subsampled, and cell-graph runs must all recover the
-/// same four-way partition (rand index 1 up to stray border points).
+/// units, so exact and cell-graph runs must both recover the same
+/// four-way partition (rand index 1 up to stray border points).
 std::vector<Point2> separated_clusters(std::size_t per_cluster) {
   const float cx[4] = {5.0f, 25.0f, 5.0f, 25.0f};
   const float cy[4] = {5.0f, 5.0f, 25.0f, 25.0f};
@@ -52,160 +54,68 @@ std::vector<Point2> separated_clusters(std::size_t per_cluster) {
 }
 
 // ---------------------------------------------------------------------------
-// QualitySpec
-// ---------------------------------------------------------------------------
-
-TEST(QualitySpec, SelfPairsAndRateOneAlwaysKept) {
-  QualitySpec exact;
-  EXPECT_FALSE(exact.sampled());
-  EXPECT_TRUE(exact.keep_pair(3, 99));
-
-  QualitySpec full{ClusterQuality::kSubsampled, 1.0f, 42};
-  EXPECT_FALSE(full.sampled());
-  for (PointId i = 0; i < 100; ++i) EXPECT_TRUE(full.keep_pair(i, i + 1));
-
-  QualitySpec tiny{ClusterQuality::kSubsampled, 0.01f, 42};
-  EXPECT_TRUE(tiny.sampled());
-  for (PointId i = 0; i < 100; ++i) EXPECT_TRUE(tiny.keep_pair(i, i));
-}
-
-TEST(QualitySpec, KeepPairIsSymmetricAndSeedDeterministic) {
-  QualitySpec q{ClusterQuality::kSubsampled, 0.5f, 1234};
-  QualitySpec same{ClusterQuality::kSubsampled, 0.5f, 1234};
-  QualitySpec other{ClusterQuality::kSubsampled, 0.5f, 1235};
-  bool any_disagreement_across_seeds = false;
-  for (PointId a = 0; a < 200; ++a) {
-    for (PointId b = a + 1; b < a + 20; ++b) {
-      EXPECT_EQ(q.keep_pair(a, b), q.keep_pair(b, a));
-      EXPECT_EQ(q.keep_pair(a, b), same.keep_pair(a, b));
-      if (q.keep_pair(a, b) != other.keep_pair(a, b)) {
-        any_disagreement_across_seeds = true;
-      }
-    }
-  }
-  EXPECT_TRUE(any_disagreement_across_seeds);
-}
-
-TEST(QualitySpec, KeepRateTracksSampleRate) {
-  QualitySpec q{ClusterQuality::kSubsampled, 0.3f, 7};
-  std::uint64_t kept = 0;
-  const std::uint64_t trials = 100000;
-  for (std::uint64_t i = 0; i < trials; ++i) {
-    if (q.keep_pair(static_cast<PointId>(i), static_cast<PointId>(i + 1))) {
-      ++kept;
-    }
-  }
-  const double rate = static_cast<double>(kept) / static_cast<double>(trials);
-  EXPECT_NEAR(rate, 0.3, 0.02);
-}
-
-TEST(QualitySpec, ScaledMinptsFollowsSngRescaling) {
-  QualitySpec exact;
-  EXPECT_EQ(exact.scaled_minpts(8), 8);
-  QualitySpec half{ClusterQuality::kSubsampled, 0.5f, 0};
-  EXPECT_EQ(half.scaled_minpts(8), 4);
-  QualitySpec tiny{ClusterQuality::kSubsampled, 0.01f, 0};
-  EXPECT_EQ(tiny.scaled_minpts(8), 1);  // floor at 1, never 0
-  QualitySpec cg{ClusterQuality::kCellGraph, 0.5f, 0};
-  EXPECT_EQ(cg.scaled_minpts(8), 8);  // rescaling is a sampling concept
-}
-
-// ---------------------------------------------------------------------------
-// Subsampled mode, end to end
-// ---------------------------------------------------------------------------
-
-TEST(SubsampledMode, DeterministicForFixedSeedAndNearExactOnSeparatedData) {
-  cudasim::Device device{cudasim::DeviceConfig{}, fast_options()};
-  const auto points = separated_clusters(200);
-  const float eps = 0.5f;
-  const int minpts = 8;
-
-  const ClusterResult exact = hybrid_dbscan(device, points, eps, minpts);
-  ASSERT_EQ(exact.num_clusters, 4);
-
-  BatchPolicy sampled;
-  sampled.quality = {ClusterQuality::kSubsampled, 0.3f, 99};
-  const ClusterResult a =
-      hybrid_dbscan(device, points, eps, minpts, nullptr, sampled);
-  const ClusterResult b =
-      hybrid_dbscan(device, points, eps, minpts, nullptr, sampled);
-  // Bit-identical labels across runs for a fixed seed: sampling is a pure
-  // function of (seed, pair), independent of batching or retry history.
-  EXPECT_EQ(a.labels, b.labels);
-  EXPECT_GE(rand_index(a.labels, exact.labels), 0.99);
-  EXPECT_EQ(a.num_clusters, 4);
-}
-
-TEST(SubsampledMode, GridAndBvhBackendsSampleTheSamePairSet) {
-  cudasim::Device device{cudasim::DeviceConfig{}, fast_options()};
-  const auto points = separated_clusters(150);
-  BatchPolicy grid;
-  grid.quality = {ClusterQuality::kSubsampled, 0.4f, 17};
-  BatchPolicy bvh = grid;
-  bvh.index_backend = IndexBackend::kBvh;
-  const ClusterResult g =
-      hybrid_dbscan(device, points, 0.5f, 8, nullptr, grid);
-  const ClusterResult t =
-      hybrid_dbscan(device, points, 0.5f, 8, nullptr, bvh);
-  // The Bernoulli decision hashes resident point ids, not traversal
-  // order, so both backends drop exactly the same pairs.
-  EXPECT_EQ(g.labels, t.labels);
-}
-
-TEST(SubsampledMode, StreamingAndFusedAgreeWithTheBatchTable) {
-  cudasim::Device device{cudasim::DeviceConfig{}, fast_options()};
-  const auto points = separated_clusters(150);
-  BatchPolicy policy;
-  policy.quality = {ClusterQuality::kSubsampled, 0.35f, 5};
-  const ClusterResult batch = hybrid_dbscan(device, points, 0.5f, 8, nullptr,
-                                            policy, ClusterMode::kBatchTable);
-  const ClusterResult stream = hybrid_dbscan(device, points, 0.5f, 8, nullptr,
-                                             policy, ClusterMode::kStreaming);
-  const ClusterResult fused = hybrid_dbscan(device, points, 0.5f, 8, nullptr,
-                                            policy, ClusterMode::kFused);
-  EXPECT_EQ(batch.num_clusters, stream.num_clusters);
-  EXPECT_EQ(batch.num_clusters, fused.num_clusters);
-  EXPECT_DOUBLE_EQ(rand_index(batch.labels, stream.labels), 1.0);
-  EXPECT_DOUBLE_EQ(rand_index(batch.labels, fused.labels), 1.0);
-}
-
-// ---------------------------------------------------------------------------
 // Cell-graph mode
 // ---------------------------------------------------------------------------
 
+/// Six dense 2x2-unit clusters on a 20-unit pitch: any correct clustering
+/// recovers exactly this 6-way partition, so the rand-index check is sharp
+/// rather than statistical.
+std::vector<Point2> six_separated_clusters(std::size_t n) {
+  std::vector<Point2> points;
+  points.reserve(n);
+  std::uint64_t s = 0xdecafbadu;
+  const auto jitter = [&s] {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    return 2.0f * static_cast<float>((s >> 33) & 0xffff) / 65536.0f;
+  };
+  const float cx[6] = {5.0f, 25.0f, 45.0f, 5.0f, 25.0f, 45.0f};
+  const float cy[6] = {5.0f, 5.0f, 5.0f, 25.0f, 25.0f, 25.0f};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t c = i % 6;
+    points.push_back({cx[c] + jitter(), cy[c] + jitter()});
+  }
+  return points;
+}
+
 TEST(CellGraphMode, MatchesExactOnSeparatedDataAndIsDeterministic) {
   cudasim::Device device{cudasim::DeviceConfig{}, fast_options()};
-  const auto points = separated_clusters(200);
   const float eps = 0.5f;
   const int minpts = 8;
+  const struct {
+    std::vector<Point2> points;
+    int clusters;
+  } cases[] = {{separated_clusters(200), 4},
+               {six_separated_clusters(8000), 6}};
+  for (const auto& [points, clusters] : cases) {
+    SCOPED_TRACE(clusters);
+    HybridTimings timings;
+    const ClusterResult exact =
+        hybrid_dbscan(device, points, eps, minpts, &timings);
+    CellGraphReport report;
+    const ClusterResult a =
+        cell_graph_dbscan(points, eps, minpts, device.config(), &report);
+    const ClusterResult b =
+        cell_graph_dbscan(points, eps, minpts, device.config());
+    EXPECT_EQ(a.labels, b.labels);
+    EXPECT_EQ(a.num_clusters, clusters);
+    EXPECT_GE(rand_index(a.labels, exact.labels), 0.99);
 
-  const ClusterResult exact = hybrid_dbscan(device, points, eps, minpts);
-  CellGraphReport report;
-  const ClusterResult a =
-      cell_graph_dbscan(points, eps, minpts, device.config(), &report);
-  const ClusterResult b =
-      cell_graph_dbscan(points, eps, minpts, device.config());
-  EXPECT_EQ(a.labels, b.labels);
-  EXPECT_EQ(a.num_clusters, 4);
-  EXPECT_GE(rand_index(a.labels, exact.labels), 0.99);
-
-  // Dense 1-unit clusters at side eps/sqrt(2): most points must be made
-  // core wholesale, and the distance work must be far below the exact
-  // pair count.
-  EXPECT_GT(report.dense_points, 0u);
-  EXPECT_GT(report.dense_cells, 0u);
-  EXPECT_LE(report.dense_cells, report.num_cells);
-  HybridTimings timings;
-  hybrid_dbscan(device, points, eps, minpts, &timings);
-  EXPECT_LT(report.distance_tests, timings.build_report.total_pairs);
-  EXPECT_GT(report.modeled_seconds, 0.0);
+    // Dense clusters at side eps/sqrt(2): most points must be made core
+    // wholesale, and the distance work must be far below the exact pair
+    // count.
+    EXPECT_GT(report.dense_points, 0u);
+    EXPECT_GT(report.dense_cells, 0u);
+    EXPECT_LE(report.dense_cells, report.num_cells);
+    EXPECT_LT(report.distance_tests, timings.build_report.total_pairs);
+    EXPECT_GT(report.modeled_seconds, 0.0);
+  }
 }
 
 TEST(CellGraphMode, HybridOrchestratorRoutesAndSkipsTheTable) {
   cudasim::Device device{cudasim::DeviceConfig{}, fast_options()};
   const auto points = separated_clusters(100);
   BatchPolicy policy;
-  policy.quality.mode = ClusterQuality::kCellGraph;
+  policy.quality = ClusterQuality::kCellGraph;
   HybridTimings timings;
   const ClusterResult via_hybrid =
       hybrid_dbscan(device, points, 0.5f, 8, &timings, policy);
@@ -220,7 +130,7 @@ TEST(CellGraphMode, FusedModeIsRejected) {
   cudasim::Device device{cudasim::DeviceConfig{}, fast_options()};
   const auto points = separated_clusters(50);
   BatchPolicy policy;
-  policy.quality.mode = ClusterQuality::kCellGraph;
+  policy.quality = ClusterQuality::kCellGraph;
   EXPECT_THROW(hybrid_dbscan(device, points, 0.5f, 8, nullptr, policy,
                              ClusterMode::kFused),
                std::invalid_argument);
@@ -264,6 +174,82 @@ TEST(CellGraphMode, RecoversSeparated3dClusters) {
   }
   EXPECT_NE(r.labels[0], r.labels[200]);
   EXPECT_GT(report.dense_points, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Wide extents: the packed cell key holds 2^21 cells on x and y and 2^22
+// on z. Three points at the origin and three a whole key width further
+// along one axis are six noise points at minpts 4; a key that wrapped
+// would fold the far trio into the origin's cell and make one cluster.
+// ---------------------------------------------------------------------------
+
+/// Coordinate of the middle of cell `cells` at side eps / sqrt(dims).
+float cell_offset(double cells, int dims) {
+  return static_cast<float>((cells + 0.5) / std::sqrt(dims));  // eps = 1
+}
+
+std::vector<Point2> two_trios_2d(float far, int axis) {
+  std::vector<Point2> pts;
+  for (const float base : {0.0f, far}) {
+    for (const float d : {0.0f, 0.1f, 0.2f}) {
+      pts.push_back(axis == 0 ? Point2{base + d, 0.0f}
+                              : Point2{0.0f, base + d});
+    }
+  }
+  return pts;
+}
+
+std::vector<Point3> two_trios_3d(float far, int axis) {
+  std::vector<Point3> pts;
+  for (const float base : {0.0f, far}) {
+    for (const float d : {0.0f, 0.1f, 0.2f}) {
+      Point3 p{};
+      (axis == 0 ? p.x : (axis == 1 ? p.y : p.z)) = base + d;
+      pts.push_back(p);
+    }
+  }
+  return pts;
+}
+
+void expect_key_limit_error(const auto& call) {
+  try {
+    call();
+    ADD_FAILURE() << "wide extent was not refused";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("cell key holds at most"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CellGraphWideExtent, RefusesAxesWiderThanTheKey2d) {
+  const cudasim::DeviceConfig config;
+  for (const int axis : {0, 1}) {
+    const auto pts = two_trios_2d(cell_offset(2097152.0, 2), axis);
+    expect_key_limit_error(
+        [&] { (void)cell_graph_dbscan(pts, 1.0f, 4, config); });
+  }
+}
+
+TEST(CellGraphWideExtent, RefusesAxesWiderThanTheKey3d) {
+  const cudasim::DeviceConfig config;
+  const auto wide_x = two_trios_3d(cell_offset(2097152.0, 3), 0);
+  expect_key_limit_error(
+      [&] { (void)cell_graph_dbscan3(wide_x, 1.0f, 4, config); });
+  const auto wide_z = two_trios_3d(cell_offset(4194304.0, 3), 2);
+  expect_key_limit_error(
+      [&] { (void)cell_graph_dbscan3(wide_z, 1.0f, 4, config); });
+}
+
+TEST(CellGraphWideExtent, ExtentsWithinTheKeyStayExact) {
+  const cudasim::DeviceConfig config;
+  const ClusterResult r2 = cell_graph_dbscan(
+      two_trios_2d(cell_offset(1048576.0, 2), 0), 1.0f, 4, config);
+  EXPECT_EQ(r2.labels, std::vector<std::int32_t>(6, kNoise));
+  // z has one more key bit than x and y: 2^21 cells still fit there.
+  const ClusterResult r3 = cell_graph_dbscan3(
+      two_trios_3d(cell_offset(2097152.0, 3), 2), 1.0f, 4, config);
+  EXPECT_EQ(r3.labels, std::vector<std::int32_t>(6, kNoise));
 }
 
 }  // namespace

@@ -78,7 +78,6 @@ Scenario make_scenario(std::size_t n, float eps, std::uint64_t seed) {
 /// Small batches so every shard runs several of them per stream.
 BatchPolicy many_batch_policy(const Scenario& s, ScanMode scan) {
   BatchPolicy policy;
-  policy.build_mode = TableBuildMode::kCsrTwoPass;
   policy.scan_mode = scan;
   policy.estimated_total_override = s.oracle.total_pairs();
   policy.static_threshold_pairs = 1;

@@ -180,7 +180,7 @@ TEST(Event, ElapsedSecondsBetweenRecordedEvents) {
 
 TEST(Event, ElapsedThrowsWhenNotReady) {
   Event a, b;
-  EXPECT_THROW(Event::elapsed_seconds(a, b), cudasim::SimError);
+  EXPECT_THROW((void)Event::elapsed_seconds(a, b), cudasim::SimError);
 }
 
 }  // namespace

@@ -60,7 +60,6 @@ Scenario make_scenario(std::size_t n, float eps, std::uint64_t seed) {
 /// reliably land mid-build).
 BatchPolicy many_batch_policy(const Scenario& s, ScanMode scan) {
   BatchPolicy policy;
-  policy.build_mode = TableBuildMode::kCsrTwoPass;
   policy.scan_mode = scan;
   policy.estimated_total_override = s.oracle.total_pairs();
   policy.static_threshold_pairs = 1;
@@ -178,15 +177,9 @@ TEST(StreamingDbscan, SinkAndMaterializedTableCanCoexist) {
   EXPECT_TRUE(outcome.equivalent) << outcome.diagnostic;
 }
 
-TEST(StreamingDbscan, RejectsPairSortPolicyAndBadArgs) {
+TEST(StreamingDbscan, RejectsBadArgs) {
   const Scenario s = make_scenario(300, 0.3f, 97);
   cudasim::Device device({}, fast_options());
-  BatchPolicy pair_sort;
-  pair_sort.build_mode = TableBuildMode::kPairSort;
-  NeighborTableBuilder builder(device, pair_sort);
-  StreamingDbscan consumer(s.index.size(), 4);
-  EXPECT_THROW(builder.build(s.index, s.eps, nullptr, &consumer, true),
-               std::invalid_argument);
   // No sink and no table: nothing to produce.
   NeighborTableBuilder csr(device, many_batch_policy(s, ScanMode::kHalf));
   EXPECT_THROW(csr.build(s.index, s.eps, nullptr, nullptr, false),

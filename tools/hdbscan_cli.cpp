@@ -47,7 +47,6 @@
 
 #include "analysis/cluster_analysis.hpp"
 #include "common/timer.hpp"
-#include "core/cell_graph.hpp"
 #include "core/hybrid_dbscan.hpp"
 #include "core/pipeline.hpp"
 #include "core/report_metrics.hpp"
@@ -127,8 +126,7 @@ int usage() {
       "  hdbscan_cli gen <SW1|SW4|SDSS1|SDSS2|SDSS3|uniform> <n> <out>\n"
       "  hdbscan_cli cluster <in> <eps> <minpts> [labels_out] [--map]"
       " [--streaming] [--fused] [--index=grid|bvh] [--shards k]\n"
-      "               [--quality=exact|subsampled|cellgraph]"
-      " [--sample-rate=S] [--quality-seed=SEED]\n"
+      "               [--quality=exact|cellgraph]\n"
       "  hdbscan_cli sweep <in> <eps_lo> <eps_hi> <step> <minpts>\n"
       "  hdbscan_cli reuse <in> <eps> <minpts,minpts,...> [threads]\n"
       "  hdbscan_cli table <in> <eps> <table_out.bin>\n"
@@ -137,7 +135,6 @@ int usage() {
       " [devices]\n"
       "  hdbscan_cli perf-smoke [n]\n"
       "  hdbscan_cli fused-smoke [n]\n"
-      "  hdbscan_cli approx-smoke [n]\n"
       "  hdbscan_cli stream-smoke [n]\n"
       "  hdbscan_cli shard-smoke [n]\n"
       "  hdbscan_cli profile <SW1|SW4|SDSS1|SDSS2|SDSS3|uniform> <n>"
@@ -193,8 +190,7 @@ int cmd_cluster(int argc, char** argv) {
   bool fused = false;
   IndexBackend backend = IndexBackend::kGrid;
   unsigned shards = 0;
-  QualitySpec quality;
-  bool sample_rate_set = false;
+  ClusterQuality quality = ClusterQuality::kExact;
   for (int i = 2; i < argc;) {
     int consumed = 0;
     if (std::strcmp(argv[i], "--streaming") == 0) {
@@ -207,17 +203,10 @@ int cmd_cluster(int argc, char** argv) {
       const auto parsed = parse_cluster_quality(argv[i] + 10);
       if (!parsed) {
         std::fprintf(stderr, "cluster: unknown quality '%s'"
-                     " (exact|subsampled|cellgraph)\n", argv[i] + 10);
+                     " (exact|cellgraph)\n", argv[i] + 10);
         return 2;
       }
-      quality.mode = *parsed;
-      consumed = 1;
-    } else if (std::strncmp(argv[i], "--sample-rate=", 14) == 0) {
-      quality.sample_rate = std::strtof(argv[i] + 14, nullptr);
-      sample_rate_set = true;
-      consumed = 1;
-    } else if (std::strncmp(argv[i], "--quality-seed=", 15) == 0) {
-      quality.seed = std::strtoull(argv[i] + 15, nullptr, 10);
+      quality = *parsed;
       consumed = 1;
     } else if (std::strncmp(argv[i], "--index=", 8) == 0) {
       const auto parsed = parse_index_backend(argv[i] + 8);
@@ -243,22 +232,11 @@ int cmd_cluster(int argc, char** argv) {
     argc -= consumed;
   }
   if (argc < 5) return usage();
-  if (quality.mode == ClusterQuality::kCellGraph && fused) {
+  if (quality == ClusterQuality::kCellGraph && fused) {
     std::fprintf(stderr,
                  "cluster: --quality=cellgraph is incompatible with --fused:"
                  " the cell graph replaces the traversal kernel the fused"
                  " path would fuse into\n");
-    return 2;
-  }
-  if (sample_rate_set && quality.mode != ClusterQuality::kSubsampled) {
-    std::fprintf(stderr,
-                 "cluster: --sample-rate requires --quality=subsampled\n");
-    return 2;
-  }
-  if (quality.mode == ClusterQuality::kSubsampled &&
-      !(quality.sample_rate > 0.0f && quality.sample_rate <= 1.0f)) {
-    std::fprintf(stderr, "cluster: --sample-rate must be in (0, 1], got %g\n",
-                 static_cast<double>(quality.sample_rate));
     return 2;
   }
   const auto points = load_points(argv[2]);
@@ -306,13 +284,7 @@ int cmd_cluster(int argc, char** argv) {
               points.size(), eps, minpts, result.num_clusters,
               result.noise_count(), timings.total_seconds,
               timings.modeled_total_seconds);
-  if (quality.mode == ClusterQuality::kSubsampled) {
-    std::printf("quality=subsampled rate=%g seed=%llu: core threshold"
-                " rescaled %d -> %d (SNG), labels seed-deterministic\n",
-                static_cast<double>(quality.sample_rate),
-                static_cast<unsigned long long>(quality.seed), minpts,
-                quality.scaled_minpts(minpts));
-  } else if (quality.mode == ClusterQuality::kCellGraph) {
+  if (quality == ClusterQuality::kCellGraph) {
     std::printf("quality=cellgraph: no table materialized, %llu boundary"
                 " distance tests\n",
                 static_cast<unsigned long long>(
@@ -1004,143 +976,6 @@ int cmd_fused_smoke(int argc, char** argv) {
                 " modeled)\n",
                 stream_t.modeled_total_seconds /
                     std::max(1e-12, fb_t.modeled_total_seconds));
-  }
-  return violations == 0 ? 0 : 1;
-}
-
-/// approx-smoke: the quality-knob gate. On a well-separated scenario the
-/// approximate modes must agree with exact DBSCAN (rand index >= 0.99),
-/// subsampled labels must be bit-identical across runs for a fixed seed,
-/// the cell graph must materialize no table and test far fewer pairs than
-/// the exact build, and cellgraph + fused must be rejected.
-int cmd_approx_smoke(int argc, char** argv) {
-  const std::size_t n =
-      argc >= 3 ? static_cast<std::size_t>(std::atoll(argv[2])) : 8000;
-  const float eps = 0.5f;
-  const int minpts = 8;
-
-  // Well-separated by construction: six dense 2x2-unit clusters on a
-  // 20-unit pitch. Any correct clustering recovers exactly this 6-way
-  // partition, so the rand-index gate is sharp rather than statistical.
-  std::vector<Point2> points;
-  points.reserve(n);
-  std::uint64_t s = 0xdecafbadu;
-  const auto jitter = [&s] {
-    s = s * 6364136223846793005ull + 1442695040888963407ull;
-    return 2.0f * static_cast<float>((s >> 33) & 0xffff) / 65536.0f;
-  };
-  const float cx[6] = {5.0f, 25.0f, 45.0f, 5.0f, 25.0f, 45.0f};
-  const float cy[6] = {5.0f, 5.0f, 5.0f, 25.0f, 25.0f, 25.0f};
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t c = i % 6;
-    points.push_back({cx[c] + jitter(), cy[c] + jitter()});
-  }
-
-  cudasim::SimulationOptions opt;
-  opt.throttle_transfers = false;
-  opt.throttle_pinned_alloc = false;
-
-  HybridTimings exact_t;
-  cudasim::Device exact_dev({}, opt);
-  const ClusterResult exact =
-      hybrid_dbscan(exact_dev, points, eps, minpts, &exact_t);
-
-  BatchPolicy sub_policy;
-  sub_policy.quality = {ClusterQuality::kSubsampled, 0.3f, 1234};
-  HybridTimings sub_t;
-  cudasim::Device sub_dev({}, opt);
-  const ClusterResult sub1 =
-      hybrid_dbscan(sub_dev, points, eps, minpts, &sub_t, sub_policy);
-  const ClusterResult sub2 =
-      hybrid_dbscan(sub_dev, points, eps, minpts, nullptr, sub_policy);
-
-  BatchPolicy cg_policy;
-  cg_policy.quality.mode = ClusterQuality::kCellGraph;
-  HybridTimings cg_t;
-  cudasim::Device cg_dev({}, opt);
-  const ClusterResult cg =
-      hybrid_dbscan(cg_dev, points, eps, minpts, &cg_t, cg_policy);
-  CellGraphReport cg_report;
-  const ClusterResult cg_direct =
-      cell_graph_dbscan(points, eps, minpts, cg_dev.config(), &cg_report);
-
-  const double sub_ri = rand_index(sub1.labels, exact.labels);
-  const double cg_ri = rand_index(cg.labels, exact.labels);
-  std::printf(
-      "approx_smoke: n=%zu exact modeled=%.6fs subsampled(0.3) modeled=%.6fs"
-      " cellgraph modeled=%.6fs\n",
-      points.size(), exact_t.modeled_total_seconds,
-      sub_t.modeled_total_seconds, cg_t.modeled_total_seconds);
-  std::printf(
-      "approx_smoke: rand index subsampled=%.6f cellgraph=%.6f;"
-      " cell graph ran %llu distance tests vs %llu exact pairs\n",
-      sub_ri, cg_ri,
-      static_cast<unsigned long long>(cg_report.distance_tests),
-      static_cast<unsigned long long>(exact_t.build_report.total_pairs));
-
-  int violations = 0;
-  if (sub1.labels != sub2.labels) {
-    std::fprintf(stderr,
-                 "approx_smoke FAILED: subsampled labels differ across two"
-                 " runs with the same seed\n");
-    ++violations;
-  }
-  if (sub_ri < 0.99) {
-    std::fprintf(stderr,
-                 "approx_smoke FAILED: subsampled rand index %.6f < 0.99 on"
-                 " the separated scenario\n",
-                 sub_ri);
-    ++violations;
-  }
-  if (cg_ri < 0.99) {
-    std::fprintf(stderr,
-                 "approx_smoke FAILED: cellgraph rand index %.6f < 0.99 on"
-                 " the separated scenario\n",
-                 cg_ri);
-    ++violations;
-  }
-  if (cg.labels != cg_direct.labels) {
-    std::fprintf(stderr,
-                 "approx_smoke FAILED: hybrid_dbscan cellgraph routing"
-                 " diverges from cell_graph_dbscan\n");
-    ++violations;
-  }
-  if (cg_t.build_report.table_materialized) {
-    std::fprintf(stderr,
-                 "approx_smoke FAILED: the cell-graph run materialized a"
-                 " neighbor table\n");
-    ++violations;
-  }
-  if (cg_report.distance_tests >= exact_t.build_report.total_pairs) {
-    std::fprintf(stderr,
-                 "approx_smoke FAILED: cell graph tested %llu pairs, not"
-                 " under the exact build's %llu\n",
-                 static_cast<unsigned long long>(cg_report.distance_tests),
-                 static_cast<unsigned long long>(
-                     exact_t.build_report.total_pairs));
-    ++violations;
-  }
-  bool threw = false;
-  try {
-    (void)hybrid_dbscan(cg_dev, points, eps, minpts, nullptr, cg_policy,
-                        ClusterMode::kFused);
-  } catch (const std::invalid_argument&) {
-    threw = true;
-  }
-  if (!threw) {
-    std::fprintf(stderr,
-                 "approx_smoke FAILED: cellgraph + fused was not rejected\n");
-    ++violations;
-  }
-
-  if (violations == 0) {
-    std::printf(
-        "approx_smoke: all invariants held (seed-deterministic labels, rand"
-        " index >= 0.99 both modes, no table, cellgraph %.1fx fewer"
-        " distance tests)\n",
-        static_cast<double>(exact_t.build_report.total_pairs) /
-            std::max<double>(1.0,
-                             static_cast<double>(cg_report.distance_tests)));
   }
   return violations == 0 ? 0 : 1;
 }
@@ -1996,7 +1831,6 @@ int main(int argc, char** argv) {
     else if (cmd == "chaos") rc = cmd_chaos(argc, argv);
     else if (cmd == "perf-smoke") rc = cmd_perf_smoke(argc, argv);
     else if (cmd == "fused-smoke") rc = cmd_fused_smoke(argc, argv);
-    else if (cmd == "approx-smoke") rc = cmd_approx_smoke(argc, argv);
     else if (cmd == "stream-smoke") rc = cmd_stream_smoke(argc, argv);
     else if (cmd == "shard-smoke") rc = cmd_shard_smoke(argc, argv);
     else if (cmd == "serve") rc = cmd_serve(argc, argv);
