@@ -22,15 +22,17 @@ namespace {
 
 using namespace hdbscan;
 
-/// Contiguous-chunk variant of the batched GPUCalcGlobal.
-struct ContiguousBatchKernel {
+/// Full-row GPUCalcGlobal over the batch's points first, first + stride,
+/// ... below end: stride n_b is the paper's strided assignment, stride 1
+/// a contiguous chunk. Full rows keep |R_l| the paper's result size.
+struct BatchKernel {
   GridView view;
   float eps2;
-  std::uint32_t begin, end;  // point-id range of this batch
+  std::uint32_t first, stride, end;
   gpu::ResultSinkView sink;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
-    const std::uint64_t i = begin + ctx.global_id();
+    const std::uint64_t i = first + ctx.global_id() * stride;
     if (i >= end) return;
     const Point2 point = view.points[i];
     std::array<std::uint32_t, 9> cells{};
@@ -79,7 +81,11 @@ int main() {
     std::vector<std::uint64_t> strided_sizes;
     for (std::uint32_t l = 0; l < nb; ++l) {
       gpu::ResultSetDevice sink(device, 1);  // counting only
-      gpu::run_calc_global(device, view, eps, {l, nb}, sink.view());
+      const std::uint32_t pts = gpu::BatchSpec{l, nb}.points_in_batch(
+          view.num_points);
+      cudasim::run_flat_kernel(
+          device, (pts + 255) / 256, 256,
+          BatchKernel{view, eps * eps, l, nb, view.num_points, sink.view()});
       strided_sizes.push_back(sink.count());
     }
     print_stats("strided", strided_sizes);
@@ -97,7 +103,7 @@ int main() {
       gpu::ResultSetDevice sink(device, 1);
       cudasim::run_flat_kernel(
           device, (end - begin + 255) / 256, 256,
-          ContiguousBatchKernel{view, eps * eps, begin, end, sink.view()});
+          BatchKernel{view, eps * eps, begin, 1, end, sink.view()});
       contiguous_sizes.push_back(sink.count());
     }
     print_stats("contiguous", contiguous_sizes);

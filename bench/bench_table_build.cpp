@@ -1,7 +1,7 @@
 // Benchmark of the two-pass CSR neighbor-table build (count -> scan ->
-// fill) at Fig. 3 scenario sizes under both scan modes (full pair
-// evaluation vs the half-comparison scan that tests each candidate pair
-// once and expands symmetry on the host). A four-variant reuse sweep on
+// fill) at Fig. 3 scenario sizes; the kernels test each candidate pair
+// once and the host expands symmetry afterwards. A four-variant reuse
+// sweep on
 // one device then shows the buffer pool paying the pinned page-lock cost
 // only on the first variant.
 //
@@ -12,7 +12,7 @@
 // edge count; the bench fails unless k=4 reaches >= 3.2x modeled speedup
 // on at least one workload.
 //
-// Emits BENCH_table_build.json (schema_version 9) alongside the
+// Emits BENCH_table_build.json (schema_version 10) alongside the
 // human-readable table. The JSON is self-describing: a `scenario` block
 // records the scale factor, trial count, and the exact generator seed and
 // size of every dataset, so a stored result can be reproduced bit-for-bit.
@@ -66,12 +66,11 @@
 
 namespace {
 
-struct ScanResult {
-  std::string scan;               ///< "full" or "half"
+struct BuildResult {
   double wall_seconds = 0.0;
   double modeled_seconds = 0.0;
   double pairs_per_second = 0.0;  ///< total pairs / wall seconds
-  double expand_seconds = 0.0;    ///< host half-table expansion (half only)
+  double expand_seconds = 0.0;    ///< host half-table expansion
   std::uint64_t total_pairs = 0;
   std::uint64_t d2h_bytes = 0;
   std::uint64_t atomic_ops = 0;
@@ -79,14 +78,11 @@ struct ScanResult {
   std::uint64_t kernel_global_bytes = 0;
 };
 
-ScanResult run_scan(cudasim::Device& device, const hdbscan::GridIndex& index,
-                    float eps, hdbscan::ScanMode scan) {
+BuildResult run_build(cudasim::Device& device,
+                      const hdbscan::GridIndex& index, float eps) {
   using namespace hdbscan;
-  ScanResult r;
-  r.scan = scan == ScanMode::kHalf ? "half" : "full";
-  BatchPolicy policy;
-  policy.scan_mode = scan;
-  NeighborTableBuilder builder(device, policy);
+  BuildResult r;
+  NeighborTableBuilder builder(device, {});
   BuildReport report;
   // Min-of-N: the builds take tens of milliseconds at bench scale, where
   // scheduler noise swamps a mean-of-1; the minimum is the stable signal.
@@ -119,7 +115,7 @@ ScanResult run_scan(cudasim::Device& device, const hdbscan::GridIndex& index,
 
 int main() {
   using namespace hdbscan;
-  bench::banner("Table build — two-pass CSR, full vs half scan",
+  bench::banner("Table build — two-pass CSR, half scan",
                 "Fig. 3 workload sizes");
 
   struct Row {
@@ -127,13 +123,13 @@ int main() {
     float eps;
     std::size_t n = 0;
     std::uint64_t seed = 0;
-    std::vector<ScanResult> scans;
+    BuildResult build;
   };
   std::vector<Row> rows;
 
   // eps values from the Fig. 3 sweeps, chosen where the neighborhood
   // degree is representative (sparser settings make the fixed per-point
-  // offsets array dominate both scan modes equally).
+  // offsets array dominate).
   for (const auto& [dataset, eps] :
        std::vector<std::pair<std::string, float>>{{"SW1", 0.3f},
                                                   {"SDSS1", 0.5f}}) {
@@ -141,34 +137,18 @@ int main() {
     const GridIndex index = build_grid_index(points, eps);
     cudasim::Device device = bench::make_device();
 
-    Row row{dataset, eps, points.size(), data::dataset_seed(dataset), {}};
-    for (const ScanMode scan : {ScanMode::kFull, ScanMode::kHalf}) {
-      row.scans.push_back(run_scan(device, index, eps, scan));
-    }
-
+    Row row{dataset, eps, points.size(), data::dataset_seed(dataset),
+            run_build(device, index, eps)};
+    const BuildResult& r = row.build;
     std::printf("\n  [%s]  eps = %.2f  |T| = %llu pairs\n", dataset.c_str(),
-                eps,
-                static_cast<unsigned long long>(row.scans[0].total_pairs));
-    std::printf("  %-5s %9s %10s %12s %12s %14s\n", "scan", "wall (s)",
-                "model (s)", "flops", "D2H bytes", "pairs/s");
-    for (const ScanResult& r : row.scans) {
-      std::printf("  %-5s %9.3f %10.4f %12llu %12llu %14.3e\n",
-                  r.scan.c_str(), r.wall_seconds, r.modeled_seconds,
-                  static_cast<unsigned long long>(r.kernel_flops),
-                  static_cast<unsigned long long>(r.d2h_bytes),
-                  r.pairs_per_second);
-    }
-    const ScanResult& csr_full = row.scans[0];
-    const ScanResult& csr_half = row.scans[1];
-    std::printf("  half-csr vs full-csr: %.2fx wall, %.2fx modeled,"
-                " %.2fx flops, %.2fx D2H (equal output: %s)\n",
-                csr_full.wall_seconds / csr_half.wall_seconds,
-                csr_full.modeled_seconds / csr_half.modeled_seconds,
-                static_cast<double>(csr_full.kernel_flops) /
-                    static_cast<double>(csr_half.kernel_flops),
-                static_cast<double>(csr_full.d2h_bytes) /
-                    static_cast<double>(csr_half.d2h_bytes),
-                csr_full.total_pairs == csr_half.total_pairs ? "yes" : "NO");
+                eps, static_cast<unsigned long long>(r.total_pairs));
+    std::printf("  %9s %10s %10s %12s %12s %14s\n", "wall (s)", "model (s)",
+                "expand (s)", "flops", "D2H bytes", "pairs/s");
+    std::printf("  %9.3f %10.4f %10.4f %12llu %12llu %14.3e\n",
+                r.wall_seconds, r.modeled_seconds, r.expand_seconds,
+                static_cast<unsigned long long>(r.kernel_flops),
+                static_cast<unsigned long long>(r.d2h_bytes),
+                r.pairs_per_second);
     rows.push_back(std::move(row));
   }
 
@@ -865,7 +845,7 @@ int main() {
   }
   std::fprintf(out,
                "{\n  \"benchmark\": \"table_build\",\n"
-               "  \"schema_version\": 9,\n"
+               "  \"schema_version\": 10,\n"
                "  \"scenario\": {\n"
                "    \"scale\": %.4f,\n"
                "    \"trials\": %d,\n"
@@ -883,30 +863,24 @@ int main() {
   std::fprintf(out, "    ]\n  },\n  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
-    std::fprintf(out,
-                 "    {\"dataset\": \"%s\", \"eps\": %.3f, \"scans\": [\n",
-                 row.dataset.c_str(), row.eps);
-    for (std::size_t m = 0; m < row.scans.size(); ++m) {
-      const ScanResult& r = row.scans[m];
-      std::fprintf(
-          out,
-          "      {\"scan\": \"%s\", "
-          "\"wall_seconds\": %.6f, "
-          "\"modeled_seconds\": %.6f, \"pairs_per_second\": %.3e, "
-          "\"expand_seconds\": %.6f, "
-          "\"total_pairs\": %llu, \"d2h_bytes\": %llu, "
-          "\"atomic_ops\": %llu, \"kernel_flops\": %llu, "
-          "\"kernel_global_bytes\": %llu}%s\n",
-          r.scan.c_str(), r.wall_seconds, r.modeled_seconds,
-          r.pairs_per_second, r.expand_seconds,
-          static_cast<unsigned long long>(r.total_pairs),
-          static_cast<unsigned long long>(r.d2h_bytes),
-          static_cast<unsigned long long>(r.atomic_ops),
-          static_cast<unsigned long long>(r.kernel_flops),
-          static_cast<unsigned long long>(r.kernel_global_bytes),
-          m + 1 < row.scans.size() ? "," : "");
-    }
-    std::fprintf(out, "    ]}%s\n", i + 1 < rows.size() ? "," : "");
+    const BuildResult& r = row.build;
+    std::fprintf(
+        out,
+        "    {\"dataset\": \"%s\", \"eps\": %.3f, "
+        "\"wall_seconds\": %.6f, "
+        "\"modeled_seconds\": %.6f, \"pairs_per_second\": %.3e, "
+        "\"expand_seconds\": %.6f, "
+        "\"total_pairs\": %llu, \"d2h_bytes\": %llu, "
+        "\"atomic_ops\": %llu, \"kernel_flops\": %llu, "
+        "\"kernel_global_bytes\": %llu}%s\n",
+        row.dataset.c_str(), row.eps, r.wall_seconds, r.modeled_seconds,
+        r.pairs_per_second, r.expand_seconds,
+        static_cast<unsigned long long>(r.total_pairs),
+        static_cast<unsigned long long>(r.d2h_bytes),
+        static_cast<unsigned long long>(r.atomic_ops),
+        static_cast<unsigned long long>(r.kernel_flops),
+        static_cast<unsigned long long>(r.kernel_global_bytes),
+        i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n  \"reuse_sweep\": [\n");
   for (std::size_t v = 0; v < sweep.size(); ++v) {

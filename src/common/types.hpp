@@ -120,24 +120,6 @@ struct NeighborPair {
   friend auto operator<=>(const NeighborPair&, const NeighborPair&) = default;
 };
 
-/// How the epsilon-neighborhood kernels traverse the candidate space.
-///
-/// Distance is symmetric, so the full 9-cell (27-cell in 3-D) scan
-/// evaluates every qualifying pair (i, j) twice — once from each side.
-/// kHalf exploits the grid index's ordering invariant (within a cell the
-/// lookup array stores point ids in ascending order; see build_grid_index)
-/// to test each pair exactly once: a query scans only the same-cell
-/// candidates at lookup positions at or after its own, plus the cells of
-/// the forward stencil (linear cell id greater than its own). Each tested
-/// pair is then emitted in both directions — either device-side (the
-/// shared-tile kernel's dual-row staged push) or host-side (the batched
-/// pipelines emit forward rows and NeighborTable::expand_half_table
-/// transposes them after the shard merge).
-enum class ScanMode {
-  kFull,  ///< legacy bidirectional scan: every pair tested twice
-  kHalf,  ///< unidirectional scan: every pair tested once, emitted twice
-};
-
 /// Which clustering algorithm a run uses (see DESIGN.md §16). Both give
 /// exact DBSCAN core sets and core partitions; kCellGraph unions whole
 /// eps/sqrt(d) cells and tests only cell-boundary pairs, so its work is

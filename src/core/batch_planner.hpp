@@ -70,12 +70,6 @@ struct BatchPolicy {
   /// kernel always samples through the grid: the estimate is a property of
   /// the data, not of the traversal structure.
   IndexBackend index_backend = IndexBackend::kGrid;
-  /// Candidate-pair traversal (see ScanMode in common/types.hpp). kHalf
-  /// tests each pair once — roughly half the distance FLOPs and candidate
-  /// reads of kFull — and the builder restores symmetry afterwards
-  /// (device-side for the shared kernel, host-side expand for the batched
-  /// pipelines). kFull is kept for A/B benchmarking.
-  ScanMode scan_mode = ScanMode::kHalf;
   /// Deepest recursive overflow/out-of-memory split allowed: a batch may
   /// shrink to 1/2^max_split_depth of its planned size before the builder
   /// gives up on it. Guards against a pathological estimate looping
@@ -83,8 +77,9 @@ struct BatchPolicy {
   unsigned max_split_depth = 10;
   /// Fault-degradation behavior (see ResiliencePolicy).
   ResiliencePolicy resilience;
-  /// Under kHalf with a materialized table, expand the merged forward rows
-  /// into the full symmetric table at the end of build(). The sharded
+  /// The kernels test each pair once and emit forward rows (see
+  /// grid_index.hpp). With a materialized table, expand the merged forward
+  /// rows into the full symmetric table at the end of build(). The sharded
   /// orchestrator turns this off: shard tables hold *local* ids whose
   /// ghost-key back rows would collide across shards, so expansion must
   /// run once, globally, after every shard is translated and absorbed.

@@ -136,9 +136,9 @@ struct FusedSharedState {
 /// the retry re-traverses from a clean slate — and a lost device's items
 /// go to the orphan pool for the survivors.
 void fused_pump(FusedContext& fc, FusedWorkQueue& queue,
-                FusedSharedState& state, float eps, ScanMode scan,
-                unsigned block_size, StreamingDbscan& consumer,
-                const ResiliencePolicy& res, const CancelToken* cancel) {
+                FusedSharedState& state, float eps, unsigned block_size,
+                StreamingDbscan& consumer, const ResiliencePolicy& res,
+                const CancelToken* cancel) {
   const std::size_t ctx = fc.timeline_id;
   FusedWorkItem item;
   while (queue.pop(ctx, item)) {
@@ -160,9 +160,9 @@ void fused_pump(FusedContext& fc, FusedWorkQueue& queue,
       const cudasim::KernelStats stats =
           fc.backend == IndexBackend::kBvh
               ? gpu::run_fused_batch(fc.device, fc.bvh_view, eps, spec,
-                                     consumer, scan, block_size)
+                                     consumer, block_size)
               : gpu::run_fused_batch(fc.device, fc.view, eps, spec,
-                                     consumer, scan, block_size);
+                                     consumer, block_size);
       ++fc.batches_run;
       fc.kernel_modeled += stats.modeled_seconds;
       fc.device_model += stats.modeled_seconds;
@@ -233,11 +233,9 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
   report.fused = true;
   report.streamed = true;
   report.table_materialized = false;
-  report.scan_mode = policy.scan_mode;
   report.index_backend = policy.index_backend;
   const ResiliencePolicy& res = policy.resilience;
   const bool use_bvh = policy.index_backend == IndexBackend::kBvh;
-  const ScanMode scan = policy.scan_mode;
 
   // The host fallback: complete unfinished strided batches by delivering
   // host-searched rows into the same consumer, under the *same* ownership
@@ -266,15 +264,12 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
         scratch.clear();
         fallback_rtree->query_circle(index.points[k], eps, scratch);
         for (const PointId v : scratch) {
-          if (scan == ScanMode::kHalf && v < k) continue;
-          row.push_back(v);
+          if (v >= k) row.push_back(v);
         }
-      } else if (scan == ScanMode::kHalf) {
-        grid_query_forward(index, k, eps, row);
       } else {
-        grid_query(index, index.points[k], eps, row);
+        grid_query_forward(index, k, eps, row);
       }
-      consumer.consume(BatchDelivery{k, /*key_stride=*/1, scan,
+      consumer.consume(BatchDelivery{k, /*key_stride=*/1,
                                      /*counts_delivered=*/false,
                                      {&zero, 1}, row, {}});
       ++report.sink_batches;
@@ -385,12 +380,11 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
         }
         any_live = true;
         FusedContext* fcp = fc.get();
-        fc->stream.host_fn([fcp, &queue, &state, eps, scan,
+        fc->stream.host_fn([fcp, &queue, &state, eps,
                             block = policy.block_size, &consumer, &res,
                             cancel = policy.cancel, ctx = policy.trace] {
           RequestScope scope(ctx);
-          fused_pump(*fcp, queue, state, eps, scan, block, consumer, res,
-                     cancel);
+          fused_pump(*fcp, queue, state, eps, block, consumer, res, cancel);
         });
       }
       if (!any_live) break;

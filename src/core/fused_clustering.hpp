@@ -37,9 +37,9 @@ namespace hdbscan {
 /// grid index fixes the id order exactly as for the table pipelines) and
 /// mutates `consumer`'s degrees and union-find in place. The caller owns
 /// finalize(): labels come from consumer.finalize() after this returns.
-/// Honors policy.index_backend (grid stencil vs packed-BVH traversal),
-/// policy.scan_mode (kHalf tests each pair once), the resilience ladder,
-/// cancellation and metrics labels; buffer and estimation fields are
+/// Tests each pair once. Honors policy.index_backend (grid stencil vs
+/// packed-BVH traversal), the resilience ladder, cancellation and metrics
+/// labels; buffer and estimation fields are
 /// ignored — there is nothing to size or estimate.
 BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
                           const GridIndex& index, float eps,

@@ -28,8 +28,7 @@ NeighborTable build_neighbor_table_host3(const GridIndex3& index, float eps) {
 
 NeighborTable build_neighbor_table_device3(cudasim::Device& device,
                                            const GridIndex3& index, float eps,
-                                           Build3Report* report,
-                                           ScanMode mode) {
+                                           Build3Report* report) {
   WallTimer total_timer;
   Build3Report local;
 
@@ -58,7 +57,7 @@ NeighborTable build_neighbor_table_device3(cudasim::Device& device,
   cudasim::PooledDeviceBuffer<std::uint32_t> d_counts(
       device, std::max<std::uint32_t>(1, npts));
   cudasim::KernelStats stats = gpu::run_count_batch3(
-      device, view, eps, {}, d_counts.device_data(), mode);
+      device, view, eps, {}, d_counts.device_data());
   local.modeled_table_seconds += stats.modeled_seconds;
   local.kernel_flops += stats.work.flops;
 
@@ -69,7 +68,7 @@ NeighborTable build_neighbor_table_device3(cudasim::Device& device,
   cudasim::PooledDeviceBuffer<PointId> d_values(
       device, std::max<std::uint64_t>(1, pairs));
   stats = gpu::run_fill_csr3(device, view, eps, {}, d_counts.device_data(),
-                             d_values.device_data(), mode);
+                             d_values.device_data());
   local.modeled_table_seconds += stats.modeled_seconds;
   local.kernel_flops += stats.work.flops;
 
@@ -98,11 +97,9 @@ NeighborTable build_neighbor_table_device3(cudasim::Device& device,
                          {values_staging.data(), pairs});
   local.modeled_table_seconds += append_timer.seconds();
 
-  if (mode == ScanMode::kHalf) {
-    local.expand_seconds = table.expand_half_table(
-        static_cast<unsigned>(std::max(1, device.config().host_cores)));
-    local.modeled_table_seconds += local.expand_seconds;
-  }
+  local.expand_seconds = table.expand_half_table(
+      static_cast<unsigned>(std::max(1, device.config().host_cores)));
+  local.modeled_table_seconds += local.expand_seconds;
 
   local.total_pairs = table.total_pairs();
   local.table_seconds = total_timer.seconds();
@@ -112,7 +109,7 @@ NeighborTable build_neighbor_table_device3(cudasim::Device& device,
 
 ClusterResult hybrid_dbscan3(cudasim::Device& device,
                              std::span<const Point3> points, float eps,
-                             int minpts, Build3Report* report, ScanMode mode,
+                             int minpts, Build3Report* report,
                              ClusterQuality quality) {
   if (quality == ClusterQuality::kCellGraph) {
     WallTimer total_timer;
@@ -130,7 +127,7 @@ ClusterResult hybrid_dbscan3(cudasim::Device& device,
   }
   const GridIndex3 index = build_grid_index3(points, eps);
   const NeighborTable table =
-      build_neighbor_table_device3(device, index, eps, report, mode);
+      build_neighbor_table_device3(device, index, eps, report);
   const ClusterResult indexed = dbscan_neighbor_table(table, minpts);
   ClusterResult out;
   out.num_clusters = indexed.num_clusters;
@@ -144,8 +141,7 @@ ClusterResult hybrid_dbscan3(cudasim::Device& device,
 
 ClusterResult fused_dbscan3(cudasim::Device& device,
                             std::span<const Point3> points, float eps,
-                            int minpts, Build3Report* report,
-                            ScanMode mode) {
+                            int minpts, Build3Report* report) {
   WallTimer total_timer;
   Build3Report local;
   const GridIndex3 index = build_grid_index3(points, eps);
@@ -169,7 +165,7 @@ ClusterResult fused_dbscan3(cudasim::Device& device,
 
   StreamingDbscan consumer(index.size(), minpts);
   const cudasim::KernelStats stats =
-      gpu::run_fused_batch3(device, view, eps, {}, consumer, mode);
+      gpu::run_fused_batch3(device, view, eps, {}, consumer);
   local.modeled_table_seconds += stats.modeled_seconds;
   local.kernel_flops += stats.work.flops;
 

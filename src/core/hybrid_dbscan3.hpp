@@ -17,19 +17,18 @@ struct Build3Report {
   double table_seconds = 0.0;
   double modeled_table_seconds = 0.0;
   std::uint64_t kernel_flops = 0;  ///< distance-test FLOPs across both passes
-  double expand_seconds = 0.0;     ///< host transpose of forward rows (kHalf)
+  double expand_seconds = 0.0;     ///< host transpose of forward rows
 };
 
 /// Builds the eps-neighbor table for a 3-D dataset on the device:
-/// count pass (exact sizing) -> scan -> fill kernel -> D2H. Under
-/// ScanMode::kHalf (the default) each pair is distance-tested once, only
-/// forward rows cross PCIe, and one host transpose restores the full
-/// table. Staging and scratch come from the device's BufferPool, so the
-/// pinned page-lock cost is paid once per process, not per call.
+/// count pass (exact sizing) -> scan -> fill kernel -> D2H. Each pair is
+/// distance-tested once, only forward rows cross PCIe, and one host
+/// transpose restores the full table. Staging and scratch come from the
+/// device's BufferPool, so the pinned page-lock cost is paid once per
+/// process, not per call.
 NeighborTable build_neighbor_table_device3(cudasim::Device& device,
                                            const GridIndex3& index, float eps,
-                                           Build3Report* report = nullptr,
-                                           ScanMode mode = ScanMode::kHalf);
+                                           Build3Report* report = nullptr);
 
 /// End-to-end 3-D HYBRID-DBSCAN; labels are returned in input order.
 /// `quality` selects the exact pipeline (default) or the cell-graph mode
@@ -37,7 +36,6 @@ NeighborTable build_neighbor_table_device3(cudasim::Device& device,
 ClusterResult hybrid_dbscan3(cudasim::Device& device,
                              std::span<const Point3> points, float eps,
                              int minpts, Build3Report* report = nullptr,
-                             ScanMode mode = ScanMode::kHalf,
                              ClusterQuality quality = ClusterQuality::kExact);
 
 /// Fused no-table 3-D clustering (see core/fused_clustering for the 2-D
@@ -51,8 +49,7 @@ ClusterResult hybrid_dbscan3(cudasim::Device& device,
 /// transpose).
 ClusterResult fused_dbscan3(cudasim::Device& device,
                             std::span<const Point3> points, float eps,
-                            int minpts, Build3Report* report = nullptr,
-                            ScanMode mode = ScanMode::kHalf);
+                            int minpts, Build3Report* report = nullptr);
 
 /// Host oracle (tests): T built by direct 3-D grid queries.
 NeighborTable build_neighbor_table_host3(const GridIndex3& index, float eps);

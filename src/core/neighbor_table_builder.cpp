@@ -243,13 +243,13 @@ void push_halves(WorkQueue& queue, std::size_t ctx, const WorkItem& item) {
 /// exact slots -> D2H values -> shard append -> row delivery to the sink.
 /// A batch whose exact size exceeds the value buffer splits *before* any
 /// fill work runs — and before anything is delivered, so split halves
-/// deliver themselves. Under ScanMode::kHalf both passes walk only the
-/// forward half of the stencil (counts stay atomic-free) and the CSR rows
-/// that cross PCIe are forward rows.
-void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
-                       WorkItem& item, unsigned block_size,
-                       WorkQueue& queue, unsigned max_split_depth,
-                       BatchSink* sink, bool materialize) {
+/// deliver themselves. Both passes walk only the forward half of the
+/// stencil (counts stay atomic-free) and the CSR rows that cross PCIe are
+/// forward rows.
+void process_batch_csr(StreamContext& sc, float eps, WorkItem& item,
+                       unsigned block_size, WorkQueue& queue,
+                       unsigned max_split_depth, BatchSink* sink,
+                       bool materialize) {
   const gpu::BatchSpec spec = item.spec;
   // Query domain, not resident count: on a shard slab the ghost points
   // hold no batch slots (the kernels never write counts for them).
@@ -261,9 +261,9 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
   const cudasim::KernelStats count_stats =
       sc.backend == IndexBackend::kBvh
           ? gpu::run_count_batch(sc.device, sc.bvh_view, eps, spec,
-                                 sc.counts.device_data(), scan, block_size)
+                                 sc.counts.device_data(), block_size)
           : gpu::run_count_batch(sc.device, sc.view, eps, spec,
-                                 sc.counts.device_data(), scan, block_size);
+                                 sc.counts.device_data(), block_size);
   ++sc.batches_run;
   sc.kernel_modeled += count_stats.modeled_seconds;
   sc.device_model += count_stats.modeled_seconds;
@@ -315,8 +315,7 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
         static_cast<std::uint32_t>(total) - offs[pts - 1];
     hdbscan::ThreadCpuTimer consume_timer;
     sink->consume_counts(CountDelivery{
-        spec.batch, spec.num_batches, scan,
-        {sc.counts_scratch.data(), pts}, {}});
+        spec.batch, spec.num_batches, {sc.counts_scratch.data(), pts}, {}});
     sc.consume_seconds += consume_timer.seconds();
     ++sc.sink_count_batches;
     item.counts_delivered = true;
@@ -326,10 +325,10 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
       sc.backend == IndexBackend::kBvh
           ? gpu::run_fill_csr(sc.device, sc.bvh_view, eps, spec,
                               sc.counts.device_data(),
-                              sc.values.device_data(), scan, block_size)
+                              sc.values.device_data(), block_size)
           : gpu::run_fill_csr(sc.device, sc.view, eps, spec,
                               sc.counts.device_data(),
-                              sc.values.device_data(), scan, block_size);
+                              sc.values.device_data(), block_size);
   sc.kernel_modeled += fill_stats.modeled_seconds;
   sc.device_model += fill_stats.modeled_seconds;
   sc.atomic_ops += fill_stats.work.atomic_ops;
@@ -357,7 +356,7 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
     // Row delivery is the batch's last step: any fault before this point
     // re-runs the item without the sink ever having seen these rows.
     hdbscan::ThreadCpuTimer consume_timer;
-    sink->consume(BatchDelivery{spec.batch, spec.num_batches, scan,
+    sink->consume(BatchDelivery{spec.batch, spec.num_batches,
                                 item.counts_delivered,
                                 {sc.offsets_staging.data(), pts},
                                 {sc.values_staging.data(), total}, {}});
@@ -377,9 +376,9 @@ void process_batch_csr(StreamContext& sc, ScanMode scan, float eps,
 /// Anything else is a hard error: recorded once, every pump winds down,
 /// and build() rethrows only after all streams have drained.
 void pump(StreamContext& sc, WorkQueue& queue, SharedBuildState& state,
-          ScanMode scan, float eps, unsigned block_size,
-          const ResiliencePolicy& res, unsigned max_split_depth,
-          BatchSink* sink, bool materialize, const CancelToken* cancel) {
+          float eps, unsigned block_size, const ResiliencePolicy& res,
+          unsigned max_split_depth, BatchSink* sink, bool materialize,
+          const CancelToken* cancel) {
   const std::size_t ctx = sc.timeline_id;
   WorkItem item;
   while (queue.pop(ctx, item)) {
@@ -398,8 +397,8 @@ void pump(StreamContext& sc, WorkQueue& queue, SharedBuildState& state,
       return;
     }
     try {
-      process_batch_csr(sc, scan, eps, item, block_size, queue,
-                        max_split_depth, sink, materialize);
+      process_batch_csr(sc, eps, item, block_size, queue, max_split_depth,
+                        sink, materialize);
     } catch (const cudasim::TransientKernelFault&) {
       if (item.transient_retries < res.max_transient_retries) {
         ++item.transient_retries;
@@ -495,7 +494,6 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
   WallTimer total_timer;
   BuildReport local_report;
   local_report.used_shared_kernel = policy_.use_shared_kernel;
-  local_report.scan_mode = policy_.scan_mode;
   local_report.index_backend = policy_.index_backend;
   local_report.streamed = sink != nullptr;
   local_report.table_materialized = materialize;
@@ -509,20 +507,25 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
     local_report.used_host_fallback = true;
     // The parallel host builder queries full neighborhoods directly, so
     // no half-table expansion applies on this rung.
-    local_report.scan_mode = ScanMode::kFull;
     NeighborTable t =
         build_neighbor_table_host_parallel(index, eps, /*num_threads=*/0);
     local_report.total_pairs = t.total_pairs();
     if (sink != nullptr) {
       // This rung only fires before any batch ran, so the sink has seen
-      // nothing: deliver the whole table, one (symmetric) row per key.
+      // nothing: deliver one forward row per key under the id rule
+      // (partners v >= k, self included), the BVH kernels' cover.
       hdbscan::ThreadCpuTimer consume_timer;
       const std::uint32_t zero = 0;
       const auto nq = static_cast<std::uint32_t>(index.query_count());
+      std::vector<PointId> row;
       for (std::uint32_t k = 0; k < nq; ++k) {
-        sink->consume(BatchDelivery{k, /*key_stride=*/1, ScanMode::kFull,
+        row.clear();
+        for (const PointId v : t.neighbors(k)) {
+          if (v >= k) row.push_back(v);
+        }
+        sink->consume(BatchDelivery{k, /*key_stride=*/1,
                                     /*counts_delivered=*/false,
-                                    {&zero, 1}, t.neighbors(k), {}});
+                                    {&zero, 1}, row, {}});
       }
       local_report.sink_consume_seconds += consume_timer.seconds();
       local_report.sink_batches += nq;
@@ -717,12 +720,12 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
     const gpu::GridDeviceIndex& dev_index = *slots.front().dev_index;
     const GridView first_view = dev_index.view();
     gpu::ResultSetDevice result_sink(first_device, plan.buffer_pairs);
-    // kHalf here halves the distance tests but the kernel push_dual's both
-    // directions device-side (the result set never crosses PCIe per-batch
-    // in this single-batch path), so the sink already holds the full table.
+    // The kernel tests each pair once but push_dual's both directions
+    // device-side (the result set never crosses PCIe per-batch in this
+    // single-batch path), so the sink already holds the full table.
     const cudasim::KernelStats stats = gpu::run_calc_shared(
         first_device, first_view, dev_index.schedule(),
-        dev_index.num_nonempty_cells(), eps, result_sink.view(), policy_.scan_mode,
+        dev_index.num_nonempty_cells(), eps, result_sink.view(),
         policy_.block_size);
     local_report.batches_run = 1;
     local_report.kernel_modeled_seconds = stats.modeled_seconds;
@@ -832,7 +835,6 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
                  WorkItem{gpu::BatchSpec{l, plan.num_batches}});
     }
     SharedBuildState state;
-    const ScanMode scan = policy_.scan_mode;
     while (!queue.empty()) {
       bool any_live = false;
       for (auto& sc : contexts) {
@@ -844,7 +846,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
         }
         any_live = true;
         StreamContext* scp = sc.get();
-        sc->stream.host_fn([scp, &queue, &state, scan, eps,
+        sc->stream.host_fn([scp, &queue, &state, eps,
                             block = policy_.block_size, &res,
                             depth_max = policy_.max_split_depth, sink,
                             materialize, cancel = policy_.cancel,
@@ -852,7 +854,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
           // Stream threads outlive any one build; attribute this pump's
           // spans to the request the build serves.
           RequestScope scope(ctx);
-          pump(*scp, queue, state, scan, eps, block, res, depth_max, sink,
+          pump(*scp, queue, state, eps, block, res, depth_max, sink,
                materialize, cancel);
         });
       }
@@ -895,7 +897,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
       }
       local_report.used_host_fallback = true;
       // A degraded BVH build must finish its batches under the kernels'
-      // *id-based* kHalf cover, not the grid stencil's — mixing ownership
+      // *id-based* cover, not the grid stencil's — mixing ownership
       // rules within one build double-counts the cross pairs whose stencil
       // owner differs from their id owner once the merged table expands.
       // The host rung for the tree backends is the packed STR R-tree
@@ -912,11 +914,10 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
           }
           host_shards.push_back(build_neighbor_table_host_strided_idrule(
               index, *fallback_rtree, eps, item.spec.batch,
-              item.spec.num_batches, policy_.scan_mode));
+              item.spec.num_batches));
         } else {
           host_shards.push_back(build_neighbor_table_host_strided(
-              index, eps, item.spec.batch, item.spec.num_batches,
-              policy_.scan_mode));
+              index, eps, item.spec.batch, item.spec.num_batches));
         }
         ++local_report.host_fallback_batches;
         local_report.total_pairs += host_shards.back().total_pairs();
@@ -932,7 +933,6 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
           for (std::uint32_t k = item.spec.batch; k < n;
                k += item.spec.num_batches) {
             sink->consume(BatchDelivery{k, /*key_stride=*/1,
-                                        policy_.scan_mode,
                                         item.counts_delivered,
                                         {&zero, 1}, shard.neighbors(k), {}});
             ++local_report.sink_batches;
@@ -992,15 +992,14 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
     modeled_fixed += merge_seconds;
     append_total += merge_seconds;
 
-    // Half-scan builds merged *forward* rows; one host transpose restores
-    // the back rows and makes the table identical to a full-scan build.
-    // Like the merge it runs after the streams drain, but it parallelizes
-    // across rows, so the model charges its critical path over the
-    // reference host's cores rather than this machine's. A streaming sink
-    // consumed forward rows directly (it unions both directions as rows
-    // arrive), so a non-materialized build never pays the transpose.
-    if (policy_.scan_mode == ScanMode::kHalf && materialize &&
-        policy_.expand_half) {
+    // The merged table holds *forward* rows; one host transpose restores
+    // the back rows and makes the table symmetric. Like the merge it runs
+    // after the streams drain, but it parallelizes across rows, so the
+    // model charges its critical path over the reference host's cores
+    // rather than this machine's. A streaming sink consumed forward rows
+    // directly (it unions both directions as rows arrive), so a
+    // non-materialized build never pays the transpose.
+    if (materialize && policy_.expand_half) {
       TRACE_SPAN("build", "expand_half");
       local_report.expand_seconds = table.expand_half_table(
           static_cast<unsigned>(std::max(1, cfg.host_cores)));

@@ -55,7 +55,7 @@ struct BuildReport {
   std::uint64_t d2h_bytes = 0;         ///< result bytes shipped to the host
   std::uint64_t kernel_flops = 0;      ///< distance-test FLOPs (batch kernels)
   std::uint64_t kernel_global_bytes = 0;  ///< global-memory traffic of same
-  double expand_seconds = 0.0;  ///< host transpose restoring back rows (kHalf)
+  double expand_seconds = 0.0;  ///< host transpose restoring back rows
 
   // --- streaming delivery (BatchSink) ---
   bool streamed = false;           ///< a sink consumed batches in-flight
@@ -74,10 +74,9 @@ struct BuildReport {
   double sink_consume_seconds = 0.0;
 
   bool used_shared_kernel = false;
-  ScanMode scan_mode = ScanMode::kHalf;  ///< pair-evaluation mode that ran
   /// Spatial index the traversal kernels ran against (grid stencil vs
-  /// packed-BVH stack traversal). Affects the kHalf pair-ownership rule;
-  /// see IndexBackend.
+  /// packed-BVH stack traversal). Affects the pair-ownership rule; see
+  /// IndexBackend.
   IndexBackend index_backend = IndexBackend::kGrid;
 
   /// Modeled wall time of the whole T construction on the reference

@@ -98,11 +98,7 @@ void publish_build_report(const BuildReport& report,
   r.counter("build_kernel_flops", labels).add(report.kernel_flops);
   r.counter("build_kernel_global_bytes", labels)
       .add(report.kernel_global_bytes);
-  if (report.scan_mode == ScanMode::kHalf) {
-    r.counter("build_half_scan_builds", labels).add(1);
-    r.histogram("build_expand_seconds", labels)
-        .observe(report.expand_seconds);
-  }
+  r.histogram("build_expand_seconds", labels).observe(report.expand_seconds);
   r.counter("build_transient_retries", labels).add(report.transient_retries);
   r.counter("build_alloc_retries", labels).add(report.alloc_retries);
   r.counter("build_devices_lost", labels).add(report.devices_lost);

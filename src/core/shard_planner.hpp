@@ -27,10 +27,8 @@
 //
 // Exactly-once cross-shard edges fall out of that consistency: a shard
 // emits rows only for points it owns, every point has exactly one owner,
-// and under ScanMode::kHalf each cross pair (a, b) appears in exactly one
-// forward row — so it is produced by exactly one shard, with no dedup
-// structure. Under kFull each pair still appears once per *endpoint row*,
-// same as the single-device build.
+// and each cross pair (a, b) appears in exactly one forward row — so it is
+// produced by exactly one shard, with no dedup structure.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +75,8 @@ struct ShardPlan {
   static constexpr std::uint32_t kUnowned = 0xffffffffu;
 
   /// Halo duplication: ghost residents relative to owned points — the
-  /// fraction of extra index data (not extra distance tests, under kHalf)
-  /// the sharding pays.
+  /// fraction of extra index data (not extra distance tests) the sharding
+  /// pays.
   [[nodiscard]] double halo_overhead_fraction() const noexcept {
     return owned_points == 0 ? 0.0
                              : static_cast<double>(total_ghosts) /

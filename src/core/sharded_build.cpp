@@ -81,7 +81,6 @@ class TranslatingSink final : public BatchSink {
     }
     if (keys_.empty()) return;
     CountDelivery out;
-    out.scan_mode = d.scan_mode;
     out.counts = counts_;
     out.keys = keys_;
     downstream_->consume_counts(out);
@@ -147,7 +146,6 @@ class TranslatingSink final : public BatchSink {
       }
       if (keys_.empty()) continue;
       BatchDelivery out;
-      out.scan_mode = d.scan_mode;
       out.counts_delivered = counted;
       out.offsets = offsets_;
       out.values = values_;
@@ -253,7 +251,6 @@ NeighborTable build_sharded_impl(
   TRACE_SPAN("build", "sharded_build n=%zu", index.size());
 
   BuildReport agg;
-  agg.scan_mode = options.policy.scan_mode;
   agg.streamed = sink != nullptr;
   agg.table_materialized = materialize_table;
 
@@ -509,8 +506,8 @@ NeighborTable build_sharded_impl(
     const std::uint32_t zero = 0;
     for (GridShard& shard : pending) {
       check_cancel(options.policy.cancel);
-      NeighborTable local = build_neighbor_table_host_strided(
-          shard.index, eps, 0, 1, options.policy.scan_mode);
+      NeighborTable local =
+          build_neighbor_table_host_strided(shard.index, eps, 0, 1);
       ++agg.host_fallback_batches;
       agg.halo_ghost_points += shard.num_ghosts();
       if (sink != nullptr) {
@@ -520,7 +517,6 @@ NeighborTable build_sharded_impl(
           BatchDelivery d;
           d.first_key = k;
           d.key_stride = 1;
-          d.scan_mode = options.policy.scan_mode;
           d.counts_delivered = false;
           d.offsets = {&zero, 1};
           d.values = local.neighbors(k);
@@ -541,7 +537,7 @@ NeighborTable build_sharded_impl(
     modeled_fixed += host_timer.seconds();
   }
 
-  if (materialize_table && options.policy.scan_mode == ScanMode::kHalf) {
+  if (materialize_table) {
     // Shard builds merged forward rows; one global transpose restores the
     // back rows, making the table identical to a single-device build.
     TRACE_SPAN("build", "sharded_expand_half");

@@ -13,11 +13,11 @@
 //
 // Exactly-once cross-shard edges: ownership is row-homogeneous and the
 // shard-local point order is a monotone relabeling of the global order, so
-// under ScanMode::kHalf a cross pair (a, b) is forward in exactly one
-// owner's rows — no dedup structure is needed on the fault-free path. The
-// per-key dedup ledger below exists only for the resilience ladder: when a
-// device dies mid-build its shard is re-partitioned onto the survivors,
-// and keys whose counts/rows already reached the caller's sink must not be
+// a cross pair (a, b) is forward in exactly one owner's rows — no dedup
+// structure is needed on the fault-free path. The per-key dedup ledger
+// below exists only for the resilience ladder: when a device dies
+// mid-build its shard is re-partitioned onto the survivors, and keys
+// whose counts/rows already reached the caller's sink must not be
 // delivered again.
 //
 // Half-scan expansion is deferred: shard builds run with

@@ -19,11 +19,11 @@
 //    exactly once, and every key's count contribution is delivered exactly
 //    once (`BatchDelivery::counts_delivered` says whether the count arrived
 //    separately or must be derived from the row itself).
-//  * Under ScanMode::kHalf rows are *forward* rows: row k holds self,
-//    same-cell ids >= k and the forward stencil half, and every cross pair
-//    (k, v) appears in exactly one of its two rows. Counts are forward
-//    counts. Under ScanMode::kFull rows are symmetric and each cross pair
-//    is delivered twice (once per direction).
+//  * Rows are *forward* rows: every cross pair (k, v) appears in exactly
+//    one of its two rows, and row k holds self. Grid builds cover pairs by
+//    the stencil (same-cell ids >= k plus the forward stencil half); BVH
+//    builds and the whole-table host fallback cover them by id (v >= k).
+//    Counts are forward counts.
 #pragma once
 
 #include <cstdint>
@@ -35,15 +35,14 @@
 namespace hdbscan {
 
 /// Exact pass-1 neighbor counts for one batch's strided key set: key
-/// first_key + g * key_stride has counts[g] neighbors (forward neighbors
-/// under kHalf), self included. When `keys` is non-empty it overrides the
-/// arithmetic key set: entry g belongs to keys[g] — the sharded build
+/// first_key + g * key_stride has counts[g] forward neighbors, self
+/// included. When `keys` is non-empty it overrides the arithmetic key
+/// set: entry g belongs to keys[g] — the sharded build
 /// delivers scattered *global* ids this way (a shard's strided local keys
 /// translate to an arbitrary global subset).
 struct CountDelivery {
   std::uint32_t first_key = 0;
   std::uint32_t key_stride = 1;
-  ScanMode scan_mode = ScanMode::kFull;
   std::span<const std::uint32_t> counts;
   std::span<const PointId> keys;  ///< explicit keys; empty = strided
 
@@ -61,7 +60,6 @@ struct CountDelivery {
 struct BatchDelivery {
   std::uint32_t first_key = 0;
   std::uint32_t key_stride = 1;
-  ScanMode scan_mode = ScanMode::kFull;
   /// True when these keys' counts already arrived via consume_counts();
   /// false (host-fallback rungs) means degrees must be derived from the
   /// row lengths in this delivery.

@@ -356,8 +356,7 @@ void NeighborTable::canonicalize() {
 NeighborTable build_neighbor_table_host_strided(const GridIndex& index,
                                                 float eps,
                                                 std::uint32_t first_key,
-                                                std::uint32_t key_stride,
-                                                ScanMode mode) {
+                                                std::uint32_t key_stride) {
   if (key_stride == 0) {
     throw std::invalid_argument("build_neighbor_table_host_strided: stride 0");
   }
@@ -368,11 +367,7 @@ NeighborTable build_neighbor_table_host_strided(const GridIndex& index,
   std::vector<PointId> neighbors;
   std::vector<NeighborPair> pairs;
   for (std::uint64_t key = first_key; key < n; key += key_stride) {
-    if (mode == ScanMode::kHalf) {
-      grid_query_forward(index, static_cast<PointId>(key), eps, neighbors);
-    } else {
-      grid_query(index, index.points[key], eps, neighbors);
-    }
+    grid_query_forward(index, static_cast<PointId>(key), eps, neighbors);
     pairs.clear();
     pairs.reserve(neighbors.size());
     // Values pass through the index's emission map, matching the device
@@ -385,12 +380,9 @@ NeighborTable build_neighbor_table_host_strided(const GridIndex& index,
   return shard;
 }
 
-NeighborTable build_neighbor_table_host_strided_idrule(const GridIndex& index,
-                                                       const RTree& rtree,
-                                                       float eps,
-                                                       std::uint32_t first_key,
-                                                       std::uint32_t key_stride,
-                                                       ScanMode mode) {
+NeighborTable build_neighbor_table_host_strided_idrule(
+    const GridIndex& index, const RTree& rtree, float eps,
+    std::uint32_t first_key, std::uint32_t key_stride) {
   if (key_stride == 0) {
     throw std::invalid_argument(
         "build_neighbor_table_host_strided_idrule: stride 0");
@@ -409,9 +401,9 @@ NeighborTable build_neighbor_table_host_strided_idrule(const GridIndex& index,
     pairs.clear();
     pairs.reserve(neighbors.size());
     for (const PointId v : neighbors) {
-      // The tree backends' kHalf cover: row `key` owns the pairs whose
-      // partner id is not below it (self included).
-      if (mode == ScanMode::kHalf && v < key) continue;
+      // The tree backends' cover: row `key` owns the pairs whose partner
+      // id is not below it (self included).
+      if (v < key) continue;
       pairs.push_back({static_cast<PointId>(key), v});
     }
     std::sort(pairs.begin(), pairs.end(),

@@ -113,7 +113,7 @@ class NeighborTable {
   }
 
   /// Expands a *forward half* table into the full symmetric table. The
-  /// batched ScanMode::kHalf pipelines ship only forward rows over PCIe —
+  /// batched pipelines ship only forward rows over PCIe —
   /// row k holds the neighbors the kernel tested from k's side (self,
   /// same-cell ids >= k, forward-stencil cells). Every cross pair (k, v)
   /// appears in exactly one of the two rows, so the full table is the
@@ -174,27 +174,25 @@ NeighborTable build_neighbor_table_host_parallel(const GridIndex& index,
 /// other ranges stay empty. This is the degradation ladder's final rung —
 /// when every device is lost mid-build, the builder completes exactly the
 /// unfinished batches on the host and absorbs the shards, keeping all
-/// GPU-completed work. The shard is absorb_shard()-compatible.
-/// Under ScanMode::kHalf the shard holds *forward* rows (grid_query_forward)
-/// so it composes with device-built half shards; the builder expands the
-/// merged table once at the end.
-NeighborTable build_neighbor_table_host_strided(
-    const GridIndex& index, float eps, std::uint32_t first_key,
-    std::uint32_t key_stride, ScanMode mode = ScanMode::kFull);
+/// GPU-completed work. The shard is absorb_shard()-compatible and holds
+/// *forward* rows (grid_query_forward), so it composes with device-built
+/// shards; the builder expands the merged table once at the end.
+NeighborTable build_neighbor_table_host_strided(const GridIndex& index,
+                                                float eps,
+                                                std::uint32_t first_key,
+                                                std::uint32_t key_stride);
 
 /// Strided host fallback for IndexBackend::kBvh builds. The tree kernels
-/// have no forward stencil, so their ScanMode::kHalf cover is *id-based*:
-/// row k owns exactly the neighbors with id >= k (self included). A
-/// degraded BVH build must complete its unfinished batches under the same
-/// ownership rule — mixing in the grid's stencil rule would double-count
-/// cross pairs whose stencil owner differs from their id owner once the
-/// merged table is expanded. Neighborhoods are searched through `rtree`
-/// (the packed STR host index, built over the same reordered point array
-/// as `index`, so ids agree); under kFull the rows match the grid
-/// fallback's exactly.
+/// have no forward stencil, so their cover is *id-based*: row k owns
+/// exactly the neighbors with id >= k (self included). A degraded BVH
+/// build must complete its unfinished batches under the same ownership
+/// rule — mixing in the grid's stencil rule would double-count cross pairs
+/// whose stencil owner differs from their id owner once the merged table
+/// is expanded. Neighborhoods are searched through `rtree` (the packed STR
+/// host index, built over the same reordered point array as `index`, so
+/// ids agree).
 NeighborTable build_neighbor_table_host_strided_idrule(
     const GridIndex& index, const RTree& rtree, float eps,
-    std::uint32_t first_key, std::uint32_t key_stride,
-    ScanMode mode = ScanMode::kFull);
+    std::uint32_t first_key, std::uint32_t key_stride);
 
 }  // namespace hdbscan

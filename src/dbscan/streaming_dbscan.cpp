@@ -106,24 +106,17 @@ void StreamingDbscan::consume(const BatchDelivery& d) {
         g + 1 < keys ? d.offsets[g + 1] : d.values.size();
     if (!d.counts_delivered) {
       // No separate count delivery for these keys (host-fallback rows):
-      // the row length *is* the pass-1 count (self included; forward
-      // count under kHalf).
+      // the row length *is* the pass-1 forward count (self included).
       degree_[key].fetch_add(static_cast<std::uint32_t>(row_end - row_begin),
                              std::memory_order_relaxed);
     }
     for (std::size_t idx = row_begin; idx < row_end; ++idx) {
       const PointId v = d.values[idx];
       if (v == key) continue;  // self pair: degree only, never an edge
-      if (d.scan_mode == ScanMode::kHalf) {
-        // Forward rows carry each cross pair once; the back direction's
-        // degree contribution lands here, value by value — the streaming
-        // equivalent of expand_half_table's counting pass.
-        degree_[v].fetch_add(1, std::memory_order_relaxed);
-      } else if (v < key) {
-        // Full rows deliver each cross pair twice; keep the (key < v)
-        // copy so every edge is considered exactly once.
-        continue;
-      }
+      // Forward rows carry each cross pair once; the back direction's
+      // degree contribution lands here, value by value — the streaming
+      // equivalent of expand_half_table's counting pass.
+      degree_[v].fetch_add(1, std::memory_order_relaxed);
       ++edges;
       // Core status is monotone (degrees only grow), so a both-core edge
       // can be settled right now, on the builder's stream thread.

@@ -1,7 +1,6 @@
 // Streaming PDSDBSCAN: union-find clustering that consumes the batched
 // builder's CSR deliveries *while the GPU is still filling later batches*,
-// instead of waiting for the merged (and, under ScanMode::kHalf, expanded)
-// neighbor table.
+// instead of waiting for the merged and expanded neighbor table.
 //
 // Why this is possible:
 //  * Pass 1 of the two-pass CSR builder yields exact per-key degrees
@@ -14,9 +13,9 @@
 // So each delivered row is scanned once, on the builder's stream thread:
 // edges whose endpoints are both already core are unioned immediately;
 // edges that cannot be decided yet (either endpoint still below minpts)
-// are parked in a deferred buffer. Under kHalf every cross pair arrives
-// exactly once (forward rows) and is unioned in both directions, so the
-// clustering path never needs expand_half_table. finalize() settles the
+// are parked in a deferred buffer. Every cross pair arrives exactly once
+// (forward rows) and is unioned in both directions, so the clustering
+// path never needs expand_half_table. finalize() settles the
 // tail: final core flags, the remaining deferred unions, dense cluster
 // renumbering (id order, identical to dbscan_parallel) and the
 // deterministic smallest-root border rule. The result is
@@ -144,8 +143,8 @@ class StreamingDbscan final : public BatchSink {
   void ingest_fused(std::span<const NeighborPair> undecided,
                     std::uint64_t edges_seen, std::uint64_t edges_streamed);
 
-  /// Final degree of point i (self included; full degree, both directions
-  /// under kHalf). Exact once the build has returned — the exactly-once
+  /// Final degree of point i (self included; full degree, both
+  /// directions). Exact once the build has returned — the exactly-once
   /// test hook: any dropped or doubled delivery shows up here.
   [[nodiscard]] std::uint32_t degree(PointId i) const noexcept {
     return degree_[i].load(std::memory_order_relaxed);

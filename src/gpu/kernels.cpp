@@ -15,15 +15,14 @@ namespace {
 /// the per-candidate reads (lookup id 4 B + point 8 B) and the 6-op
 /// squared-distance test.
 ///
-/// kFull walks the whole 9-cell stencil — every qualifying pair (i, j) is
-/// tested from both sides. kHalf tests each pair exactly once: the own
-/// cell contributes only the suffix of candidates at/after the query's own
-/// lookup position (found by binary search over the cell's ascending slice
-/// of A — charged as log2 candidate-id reads), and only the forward half
-/// of the stencil is visited. Emissions are therefore forward rows only;
-/// symmetry is restored downstream (NeighborTable::expand_half_table).
+/// Each pair is tested exactly once: the own cell contributes only the
+/// suffix of candidates at/after the query's own lookup position (found by
+/// binary search over the cell's ascending slice of A — charged as log2
+/// candidate-id reads), and only the forward half of the stencil is
+/// visited. Emissions are therefore forward rows only; symmetry is
+/// restored downstream (NeighborTable::expand_half_table).
 template <typename Emit>
-void for_each_neighbor(const GridView& view, ScanMode mode, PointId pid,
+void for_each_neighbor(const GridView& view, PointId pid,
                        const Point2& point, float eps2,
                        cudasim::ThreadCtx& ctx, Emit&& emit) {
   auto scan_range = [&](std::uint32_t begin, std::uint32_t end) {
@@ -42,23 +41,19 @@ void for_each_neighbor(const GridView& view, ScanMode mode, PointId pid,
   // Owned points' whole stencils lie inside the slab by construction
   // (shard_planner includes the epsilon-halo rows), so no bound check.
   const std::uint32_t cell = view.params.linear_cell(point);
+  const CellRange own = view.cells[cell - view.cell_base];
+  ctx.count_global_bytes(sizeof(CellRange));
+  const PointId* first = view.lookup + own.begin;
+  const PointId* last = view.lookup + own.end;
+  const PointId* lo = std::lower_bound(first, last, pid);
+  unsigned probes = 0;
+  while ((1u << probes) < own.count()) ++probes;
+  ctx.count_global_bytes(static_cast<std::uint64_t>(probes) *
+                         sizeof(PointId));
+  scan_range(static_cast<std::uint32_t>(lo - view.lookup), own.end);
   std::array<std::uint32_t, 9> cell_ids{};
-  unsigned ncells = 0;
-  if (mode == ScanMode::kHalf) {
-    const CellRange own = view.cells[cell - view.cell_base];
-    ctx.count_global_bytes(sizeof(CellRange));
-    const PointId* first = view.lookup + own.begin;
-    const PointId* last = view.lookup + own.end;
-    const PointId* lo = std::lower_bound(first, last, pid);
-    unsigned probes = 0;
-    while ((1u << probes) < own.count()) ++probes;
-    ctx.count_global_bytes(static_cast<std::uint64_t>(probes) *
-                           sizeof(PointId));
-    scan_range(static_cast<std::uint32_t>(lo - view.lookup), own.end);
-    ncells = get_forward_neighbor_cells(view.params, cell, cell_ids);
-  } else {
-    ncells = get_neighbor_cells(view.params, cell, cell_ids);
-  }
+  const unsigned ncells =
+      get_forward_neighbor_cells(view.params, cell, cell_ids);
   for (unsigned c = 0; c < ncells; ++c) {
     const CellRange range = view.cells[cell_ids[c] - view.cell_base];
     ctx.count_global_bytes(sizeof(CellRange));
@@ -69,15 +64,14 @@ void for_each_neighbor(const GridView& view, ScanMode mode, PointId pid,
 /// BVH counterpart of for_each_neighbor: explicit-stack traversal over the
 /// packed node array. Every visited node costs one node read and the
 /// min_dist2 prune (~8 ops); accepted leaves charge like a shared-kernel
-/// tile — candidate ids are read for the whole leaf (the kHalf id filter
-/// needs them), points and the 6-op distance test only for tested ones.
-/// Under kHalf subtrees whose max_id < pid hold nothing row pid owns and
-/// are pruned before their MBR is even tested.
+/// tile — candidate ids are read for the whole leaf (the id-ownership
+/// filter needs them), points and the 6-op distance test only for tested
+/// ones. Subtrees whose max_id < pid hold nothing row pid owns and are
+/// pruned before their MBR is even tested.
 template <typename Emit>
-void for_each_neighbor_bvh(const BvhView& view, ScanMode mode, PointId pid,
+void for_each_neighbor_bvh(const BvhView& view, PointId pid,
                            const Point2& point, float eps2,
                            cudasim::ThreadCtx& ctx, Emit&& emit) {
-  const bool half = mode == ScanMode::kHalf;
   std::uint32_t stack[160];
   unsigned depth = 0;
   stack[depth++] = view.root;
@@ -85,13 +79,13 @@ void for_each_neighbor_bvh(const BvhView& view, ScanMode mode, PointId pid,
   while (depth > 0) {
     const BvhNode& node = view.nodes[stack[--depth]];
     ++nodes_read;
-    if (half && node.max_id < pid) continue;
+    if (node.max_id < pid) continue;
     if (node.mbr.min_dist2(point) > eps2) continue;
     if (node.leaf != 0) {
       std::uint64_t tested = 0;
       for (std::uint32_t i = node.first; i < node.first + node.count; ++i) {
         const PointId cand = view.leaf_ids[i];
-        if (half && cand < pid) continue;  // id-ownership rule
+        if (cand < pid) continue;  // id-ownership rule
         ++tested;
         if (dist2(point, view.leaf_points[i]) <= eps2) emit(cand);
       }
@@ -116,7 +110,6 @@ struct GlobalKernelBody {
   float eps2;
   BatchSpec batch;
   ResultSinkView sink;
-  ScanMode mode;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -132,7 +125,7 @@ struct GlobalKernelBody {
     // Values go out through the emission map (identity on the full index;
     // local->global on shard slabs): one extra 4 B read per emitted pair,
     // which buys the merge freedom from ever touching individual pairs.
-    for_each_neighbor(view, mode, pid, point, eps2, ctx,
+    for_each_neighbor(view, pid, point, eps2, ctx,
                       [&](PointId candidate) {
                         if (view.emit_ids != nullptr) {
                           ctx.count_global_bytes(sizeof(PointId));
@@ -149,7 +142,6 @@ struct SharedKernelParams {
   const std::uint32_t* schedule;
   float eps2;
   ResultSinkView sink;
-  ScanMode mode;
 };
 
 // Shared-memory arena layout for GPUCalcShared (block size B):
@@ -189,25 +181,18 @@ cudasim::KernelTask shared_kernel_thread(cudasim::CoopCtx& ctx,
   const std::uint32_t cell_to_proc = p.schedule[ctx.block_idx];
   ctx.count_global_bytes(sizeof(std::uint32_t));
 
-  // Thread 0 publishes the comparison cell ids (Alg. 3 lines 8-10). In
-  // kHalf the list is the own cell first (compared under the id >= mine
-  // rule) followed by the forward stencil; every qualifying pair is then
-  // tested by exactly one block and emitted in both directions on the
-  // spot (push_dual), so this kernel's output is the full table with no
-  // host-side expansion step.
-  const bool half = p.mode == ScanMode::kHalf;
+  // Thread 0 publishes the comparison cell ids (Alg. 3 lines 8-10): the
+  // own cell first (compared under the id >= mine rule) followed by the
+  // forward stencil. Every qualifying pair is then tested by exactly one
+  // block and emitted in both directions on the spot (push_dual), so this
+  // kernel's output is the full table with no host-side expansion step.
   if (tid == 0) {
     std::array<std::uint32_t, 9> tmp{};
     unsigned n = 0;
-    if (half) {
-      cell_ids[n++] = cell_to_proc;
-      const unsigned fwd =
-          get_forward_neighbor_cells(p.view.params, cell_to_proc, tmp);
-      for (unsigned c = 0; c < fwd; ++c) cell_ids[n++] = tmp[c];
-    } else {
-      n = get_neighbor_cells(p.view.params, cell_to_proc, tmp);
-      for (unsigned c = 0; c < n; ++c) cell_ids[c] = tmp[c];
-    }
+    cell_ids[n++] = cell_to_proc;
+    const unsigned fwd =
+        get_forward_neighbor_cells(p.view.params, cell_to_proc, tmp);
+    for (unsigned c = 0; c < fwd; ++c) cell_ids[n++] = tmp[c];
     cell_count[0] = n;
     ctx.count_shared_bytes(4ull * n + 4);
   }
@@ -249,25 +234,22 @@ cudasim::KernelTask shared_kernel_thread(cudasim::CoopCtx& ctx,
         co_await ctx.sync();
 
         // Compare this thread's origin point against the tile (lines
-        // 19-22), everything served from shared memory. In kHalf the
-        // own-cell tile (c == 0) only tests candidates with id >= mine —
-        // the ordering invariant's same-cell halving — and cross matches
-        // are emitted in both directions at once.
+        // 19-22), everything served from shared memory. The own-cell
+        // tile (c == 0) only tests candidates with id >= mine — the
+        // ordering invariant's same-cell halving — and cross matches are
+        // emitted in both directions at once.
         if (has_origin) {
           const std::uint32_t tile =
               std::min<std::uint32_t>(bdim, comp_range.end - cbase);
           const Point2 mine = origin_pts[tid];
           const PointId my_id = origin_ids[tid];
-          const bool own_half = half && c == 0;
           std::uint64_t tested = 0;
           for (std::uint32_t j = 0; j < tile; ++j) {
             const PointId cand = comp_ids[j];
-            if (own_half && cand < my_id) continue;
+            if (c == 0 && cand < my_id) continue;
             ++tested;
             if (dist2(mine, comp_pts[j]) <= p.eps2) {
-              if (!half) {
-                staged.push(NeighborPair{my_id, cand}, ctx);
-              } else if (cand == my_id) {
+              if (cand == my_id) {
                 staged.push(NeighborPair{my_id, my_id}, ctx);
               } else {
                 staged.push_dual(my_id, cand, ctx);
@@ -301,7 +283,6 @@ struct CountBatchKernelBody {
   float eps2;
   BatchSpec batch;
   std::uint32_t* counts;
-  ScanMode mode;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -311,9 +292,9 @@ struct CountBatchKernelBody {
     const Point2 point = view.points[i];
     ctx.count_global_bytes(sizeof(Point2));
     std::uint32_t neighbors = 0;
-    // In kHalf the counts are *forward-row* lengths — no atomics on other
-    // rows; the host transpose restores the back rows after the merge.
-    for_each_neighbor(view, mode, pid, point, eps2, ctx,
+    // The counts are *forward-row* lengths — no atomics on other rows;
+    // the host transpose restores the back rows after the merge.
+    for_each_neighbor(view, pid, point, eps2, ctx,
                       [&](PointId) { ++neighbors; });
     counts[gid] = neighbors;
     ctx.count_global_bytes(sizeof(std::uint32_t));
@@ -331,7 +312,6 @@ struct FillCsrKernelBody {
   BatchSpec batch;
   const std::uint32_t* offsets;
   PointId* values;
-  ScanMode mode;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -343,7 +323,7 @@ struct FillCsrKernelBody {
     PointId* out = values + offsets[gid];
     // Emission-mapped values (see GlobalKernelBody): the CSR slots receive
     // globally addressed neighbor ids on shard slabs.
-    for_each_neighbor(view, mode, pid, point, eps2, ctx,
+    for_each_neighbor(view, pid, point, eps2, ctx,
                       [&](PointId candidate) {
                         *out++ = view.emit(candidate);
                         ctx.count_global_bytes(
@@ -361,7 +341,6 @@ struct BvhCountBatchKernelBody {
   float eps2;
   BatchSpec batch;
   std::uint32_t* counts;
-  ScanMode mode;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -371,7 +350,7 @@ struct BvhCountBatchKernelBody {
     const Point2 point = view.points[i];
     ctx.count_global_bytes(sizeof(Point2));
     std::uint32_t neighbors = 0;
-    for_each_neighbor_bvh(view, mode, pid, point, eps2, ctx,
+    for_each_neighbor_bvh(view, pid, point, eps2, ctx,
                           [&](PointId) { ++neighbors; });
     counts[gid] = neighbors;
     ctx.count_global_bytes(sizeof(std::uint32_t));
@@ -385,7 +364,6 @@ struct BvhFillCsrKernelBody {
   BatchSpec batch;
   const std::uint32_t* offsets;
   PointId* values;
-  ScanMode mode;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -395,7 +373,7 @@ struct BvhFillCsrKernelBody {
     const Point2 point = view.points[i];
     ctx.count_global_bytes(sizeof(Point2) + sizeof(std::uint32_t));
     PointId* out = values + offsets[gid];
-    for_each_neighbor_bvh(view, mode, pid, point, eps2, ctx,
+    for_each_neighbor_bvh(view, pid, point, eps2, ctx,
                           [&](PointId candidate) {
                             *out++ = candidate;
                             ctx.count_global_bytes(sizeof(PointId));
@@ -412,9 +390,9 @@ constexpr unsigned kFusedSpill = 256;
 ///
 /// Degree handling: the thread's own contributions (self pair + every
 /// candidate it tests) accumulate in a register and land as ONE fetch_add
-/// at thread end; under kHalf the back contribution to each cross
-/// partner's degree is a per-pair fetch_add (the streaming equivalent of
-/// expand_half_table's counting pass, done in-kernel). Core checks use the
+/// at thread end; the back contribution to each cross partner's degree is
+/// a per-pair fetch_add (the streaming equivalent of expand_half_table's
+/// counting pass, done in-kernel). Core checks use the
 /// partner add's return value and the own-degree register as monotone
 /// lower bounds — a pair that looks undecidable now is parked and settled
 /// by compaction or finalize, never dropped.
@@ -426,16 +404,15 @@ struct FusedKernelBody {
   View view;
   float eps2;
   BatchSpec batch;
-  ScanMode mode;
   StreamingDbscan::FusedView fu;
   StreamingDbscan* sink;
 
   void traverse(PointId pid, const Point2& point, cudasim::ThreadCtx& ctx,
                 auto&& emit) const {
     if constexpr (std::is_same_v<View, GridView>) {
-      for_each_neighbor(view, mode, pid, point, eps2, ctx, emit);
+      for_each_neighbor(view, pid, point, eps2, ctx, emit);
     } else {
-      for_each_neighbor_bvh(view, mode, pid, point, eps2, ctx, emit);
+      for_each_neighbor_bvh(view, pid, point, eps2, ctx, emit);
     }
   }
 
@@ -456,20 +433,12 @@ struct FusedKernelBody {
     traverse(pid, point, ctx, [&](PointId cand) {
       ++own_degree;  // self pair included: degree counts the point itself
       if (cand == pid) return;
-      std::uint32_t deg_v;
-      if (mode == ScanMode::kHalf) {
-        // Forward traversals see each cross pair once; the partner's
-        // degree gains the back contribution here. The returned value is
-        // a monotone lower bound on the partner's final degree.
-        deg_v = fu.degree[cand].fetch_add(1, std::memory_order_relaxed) + 1;
-        ctx.count_atomic();
-      } else {
-        // Full traversals see each pair twice; the smaller-id side owns
-        // the edge work and partners count their own rows.
-        if (pid > cand) return;
-        deg_v = fu.degree[cand].load(std::memory_order_relaxed);
-        ctx.count_global_bytes(sizeof(std::uint32_t));
-      }
+      // Forward traversals see each cross pair once; the partner's degree
+      // gains the back contribution here. The returned value is a
+      // monotone lower bound on the partner's final degree.
+      const std::uint32_t deg_v =
+          fu.degree[cand].fetch_add(1, std::memory_order_relaxed) + 1;
+      ctx.count_atomic();
       ++seen;
       const std::uint32_t deg_p =
           fu.degree[pid].load(std::memory_order_relaxed) + own_degree;
@@ -547,30 +516,20 @@ struct CountKernelBody {
 cudasim::KernelStats run_calc_global(cudasim::Device& device,
                                      const GridView& view, float eps,
                                      BatchSpec batch, ResultSinkView sink,
-                                     ScanMode mode, unsigned block_size) {
+                                     unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.query_count());
   const unsigned grid = grid_dim_for(points, block_size);
-  GlobalKernelBody body{view, eps * eps, batch, sink, mode};
+  GlobalKernelBody body{view, eps * eps, batch, sink};
   return cudasim::run_flat_kernel(device, grid, block_size, body);
-}
-
-void enqueue_calc_global(cudasim::Stream& stream, const GridView& view,
-                         float eps, BatchSpec batch, ResultSinkView sink,
-                         ScanMode mode, cudasim::KernelStats* stats_out,
-                         unsigned block_size) {
-  const std::uint32_t points = batch.points_in_batch(view.query_count());
-  const unsigned grid = grid_dim_for(points, block_size);
-  GlobalKernelBody body{view, eps * eps, batch, sink, mode};
-  stream.launch(grid, block_size, body, stats_out);
 }
 
 cudasim::KernelStats run_count_batch(cudasim::Device& device,
                                      const GridView& view, float eps,
                                      BatchSpec batch, std::uint32_t* counts,
-                                     ScanMode mode, unsigned block_size) {
+                                     unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.query_count());
   const unsigned grid = grid_dim_for(points, block_size);
-  CountBatchKernelBody body{view, eps * eps, batch, counts, mode};
+  CountBatchKernelBody body{view, eps * eps, batch, counts};
   return cudasim::run_flat_kernel(device, grid, block_size, body);
 }
 
@@ -578,22 +537,20 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device,
                                   const GridView& view, float eps,
                                   BatchSpec batch,
                                   const std::uint32_t* offsets,
-                                  PointId* values, ScanMode mode,
-                                  unsigned block_size) {
+                                  PointId* values, unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.query_count());
   const unsigned grid = grid_dim_for(points, block_size);
-  FillCsrKernelBody body{view,   eps * eps, batch,
-                         offsets, values,    mode};
+  FillCsrKernelBody body{view, eps * eps, batch, offsets, values};
   return cudasim::run_flat_kernel(device, grid, block_size, body);
 }
 
 cudasim::KernelStats run_count_batch(cudasim::Device& device,
                                      const BvhView& view, float eps,
                                      BatchSpec batch, std::uint32_t* counts,
-                                     ScanMode mode, unsigned block_size) {
+                                     unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.query_count());
   const unsigned grid = grid_dim_for(points, block_size);
-  BvhCountBatchKernelBody body{view, eps * eps, batch, counts, mode};
+  BvhCountBatchKernelBody body{view, eps * eps, batch, counts};
   return cudasim::run_flat_kernel(device, grid, block_size, body);
 }
 
@@ -601,34 +558,32 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device,
                                   const BvhView& view, float eps,
                                   BatchSpec batch,
                                   const std::uint32_t* offsets,
-                                  PointId* values, ScanMode mode,
-                                  unsigned block_size) {
+                                  PointId* values, unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.query_count());
   const unsigned grid = grid_dim_for(points, block_size);
-  BvhFillCsrKernelBody body{view,    eps * eps, batch,
-                            offsets, values,    mode};
+  BvhFillCsrKernelBody body{view, eps * eps, batch, offsets, values};
   return cudasim::run_flat_kernel(device, grid, block_size, body);
 }
 
 cudasim::KernelStats run_fused_batch(cudasim::Device& device,
                                      const GridView& view, float eps,
                                      BatchSpec batch, StreamingDbscan& sink,
-                                     ScanMode mode, unsigned block_size) {
+                                     unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.query_count());
   const unsigned grid = grid_dim_for(points, block_size);
-  FusedKernelBody<GridView> body{view, eps * eps, batch, mode,
-                                 sink.fused_view(), &sink};
+  FusedKernelBody<GridView> body{view, eps * eps, batch, sink.fused_view(),
+                                 &sink};
   return cudasim::run_flat_kernel(device, grid, block_size, body);
 }
 
 cudasim::KernelStats run_fused_batch(cudasim::Device& device,
                                      const BvhView& view, float eps,
                                      BatchSpec batch, StreamingDbscan& sink,
-                                     ScanMode mode, unsigned block_size) {
+                                     unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.query_count());
   const unsigned grid = grid_dim_for(points, block_size);
-  FusedKernelBody<BvhView> body{view, eps * eps, batch, mode,
-                                sink.fused_view(), &sink};
+  FusedKernelBody<BvhView> body{view, eps * eps, batch, sink.fused_view(),
+                                &sink};
   return cudasim::run_flat_kernel(device, grid, block_size, body);
 }
 
@@ -642,27 +597,14 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
                                      const GridView& view,
                                      const std::uint32_t* schedule,
                                      std::uint32_t num_cells, float eps,
-                                     ResultSinkView sink, ScanMode mode,
+                                     ResultSinkView sink,
                                      unsigned block_size) {
-  SharedKernelParams params{view, schedule, eps * eps, sink, mode};
+  SharedKernelParams params{view, schedule, eps * eps, sink};
   auto gen = [params](cudasim::CoopCtx& ctx) {
     return shared_kernel_thread(ctx, params);
   };
   return cudasim::run_coop_kernel(device, num_cells, block_size,
                                   shared_kernel_smem_bytes(block_size), gen);
-}
-
-void enqueue_calc_shared(cudasim::Stream& stream, const GridView& view,
-                         const std::uint32_t* schedule, std::uint32_t num_cells,
-                         float eps, ResultSinkView sink, ScanMode mode,
-                         cudasim::KernelStats* stats_out,
-                         unsigned block_size) {
-  SharedKernelParams params{view, schedule, eps * eps, sink, mode};
-  auto gen = [params](cudasim::CoopCtx& ctx) {
-    return shared_kernel_thread(ctx, params);
-  };
-  stream.launch_coop(num_cells, block_size,
-                     shared_kernel_smem_bytes(block_size), gen, stats_out);
 }
 
 std::uint64_t run_count_kernel(cudasim::Device& device, const GridView& view,

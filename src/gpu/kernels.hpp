@@ -21,7 +21,6 @@
 #include "common/types.hpp"
 #include "cudasim/device.hpp"
 #include "cudasim/kernel.hpp"
-#include "cudasim/stream.hpp"
 #include "dbscan/streaming_dbscan.hpp"
 #include "gpu/result_sink.hpp"
 #include "index/bvh.hpp"
@@ -46,93 +45,70 @@ struct BatchSpec {
 };
 
 /// GPUCalcGlobal, synchronous (runs on the calling thread + executor pool).
-/// Under ScanMode::kHalf each candidate pair is tested once and only the
-/// *forward* rows are emitted (same-cell candidates at/after the query's
-/// lookup position plus the forward stencil); the caller restores symmetry
-/// afterwards via NeighborTable::expand_half_table.
+/// Each candidate pair is tested once and only the *forward* rows are
+/// emitted (same-cell candidates at/after the query's lookup position plus
+/// the forward stencil); the caller restores symmetry afterwards via
+/// NeighborTable::expand_half_table.
 cudasim::KernelStats run_calc_global(cudasim::Device& device,
                                      const GridView& view, float eps,
                                      BatchSpec batch, ResultSinkView sink,
-                                     ScanMode mode = ScanMode::kFull,
                                      unsigned block_size = kDefaultBlockSize);
 
-/// GPUCalcGlobal, enqueued on a stream. `stats_out` (optional) is written
-/// when the launch completes.
-void enqueue_calc_global(cudasim::Stream& stream, const GridView& view,
-                         float eps, BatchSpec batch, ResultSinkView sink,
-                         ScanMode mode = ScanMode::kFull,
-                         cudasim::KernelStats* stats_out = nullptr,
-                         unsigned block_size = kDefaultBlockSize);
-
 /// GPUCalcShared, synchronous. `schedule` maps each block to a (non-empty)
-/// cell id; `num_cells` is the grid dimension. Under ScanMode::kHalf each
-/// pair is tested once and emitted in both directions device-side
-/// (StagedSink::push_dual), so the output is already the full table.
+/// cell id; `num_cells` is the grid dimension. Each pair is tested once
+/// and emitted in both directions device-side (StagedSink::push_dual), so
+/// the output is already the full table.
 cudasim::KernelStats run_calc_shared(cudasim::Device& device,
                                      const GridView& view,
                                      const std::uint32_t* schedule,
                                      std::uint32_t num_cells, float eps,
                                      ResultSinkView sink,
-                                     ScanMode mode = ScanMode::kFull,
                                      unsigned block_size = kDefaultBlockSize);
 
-/// GPUCalcShared, enqueued on a stream.
-void enqueue_calc_shared(cudasim::Stream& stream, const GridView& view,
-                         const std::uint32_t* schedule, std::uint32_t num_cells,
-                         float eps, ResultSinkView sink,
-                         ScanMode mode = ScanMode::kFull,
-                         cudasim::KernelStats* stats_out = nullptr,
-                         unsigned block_size = kDefaultBlockSize);
-
-/// Two-pass CSR builder, pass 1: per-point neighbor counts for one batch.
-/// Thread g writes |N_eps(point g of the batch)| to counts[g]
-/// (counts must hold batch.points_in_batch(n) entries). No atomics.
-/// Under ScanMode::kHalf counts[g] is the *forward-row* length (still no
-/// atomics — the host transpose restores back rows after the merge).
+/// Two-pass CSR builder, pass 1: forward-row neighbor counts for one
+/// batch. Thread g writes the forward-row length of point g of the batch
+/// to counts[g] (counts must hold batch.points_in_batch(n) entries). No
+/// atomics — the host transpose restores back rows after the merge.
 cudasim::KernelStats run_count_batch(cudasim::Device& device,
                                      const GridView& view, float eps,
                                      BatchSpec batch, std::uint32_t* counts,
-                                     ScanMode mode = ScanMode::kFull,
                                      unsigned block_size = kDefaultBlockSize);
 
-/// Two-pass CSR builder, pass 2: fills neighbor ids into exact CSR slots.
-/// `offsets` is the exclusive prefix scan of the pass-1 counts; thread g
-/// writes its neighbors at values[offsets[g]...]. No atomics, no sort
-/// needed afterwards. `mode` must match the count pass.
+/// Two-pass CSR builder, pass 2: fills forward-row neighbor ids into exact
+/// CSR slots. `offsets` is the exclusive prefix scan of the pass-1 counts;
+/// thread g writes its neighbors at values[offsets[g]...]. No atomics, no
+/// sort needed afterwards.
 cudasim::KernelStats run_fill_csr(cudasim::Device& device,
                                   const GridView& view, float eps,
                                   BatchSpec batch,
                                   const std::uint32_t* offsets,
                                   PointId* values,
-                                  ScanMode mode = ScanMode::kFull,
                                   unsigned block_size = kDefaultBlockSize);
 
 // --- IndexBackend::kBvh traversal variants -------------------------------
 //
 // Same per-point batching contract as the grid kernels, but candidates
 // come from a packed-BVH stack traversal (min_dist2 pruning against node
-// MBRs) instead of the 9-cell stencil. Under ScanMode::kHalf the tree has
-// no forward stencil, so the half rule is id-based: row i owns exactly the
-// candidates with id >= i (self included) and subtrees whose max_id < i
-// are pruned outright. Every cross pair lands in exactly one row — the
-// same cover expand_half_table and the streaming consumer require — so
-// the merged/expanded table is identical to the grid backend's.
+// MBRs) instead of the 9-cell stencil. The tree has no forward stencil, so
+// the half rule is id-based: row i owns exactly the candidates with
+// id >= i (self included) and subtrees whose max_id < i are pruned
+// outright. Every cross pair lands in exactly one row — the same cover
+// expand_half_table and the streaming consumer require — so the
+// merged/expanded table is identical to the grid backend's.
 
 /// Two-pass CSR pass 1 over the BVH: counts[g] = |forward row of batch
-/// point g| (full row under kFull). No atomics.
+/// point g|. No atomics.
 cudasim::KernelStats run_count_batch(cudasim::Device& device,
                                      const BvhView& view, float eps,
                                      BatchSpec batch, std::uint32_t* counts,
-                                     ScanMode mode = ScanMode::kFull,
                                      unsigned block_size = kDefaultBlockSize);
 
-/// Two-pass CSR pass 2 over the BVH; `mode` must match the count pass.
+/// Two-pass CSR pass 2 over the BVH.
 cudasim::KernelStats run_fill_csr(cudasim::Device& device,
                                   const BvhView& view, float eps,
                                   BatchSpec batch,
                                   const std::uint32_t* offsets,
                                   PointId* values,
-                                  ScanMode mode = ScanMode::kFull,
                                   unsigned block_size = kDefaultBlockSize);
 
 // --- Fused no-table clustering traversal (ClusterMode::kFused) -----------
@@ -140,7 +116,7 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device,
 // One launch does everything the count pass, scan, fill pass, transfers
 // and sink hop did: thread i traverses its neighborhood once, accumulates
 // its own degree locally (one fetch_add at thread end), adds the back
-// contribution to degree[j] per cross pair (kHalf), and — because core
+// contribution to degree[j] per cross pair, and — because core
 // status is monotone — unions both-core pairs into the consumer's
 // AtomicUnionFind on the spot. Pairs that cannot be decided yet are
 // buffered thread-locally and parked through StreamingDbscan::ingest_fused
@@ -152,14 +128,12 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device,
 cudasim::KernelStats run_fused_batch(cudasim::Device& device,
                                      const GridView& view, float eps,
                                      BatchSpec batch, StreamingDbscan& sink,
-                                     ScanMode mode = ScanMode::kHalf,
                                      unsigned block_size = kDefaultBlockSize);
 
 /// Fused traversal over the BVH backend.
 cudasim::KernelStats run_fused_batch(cudasim::Device& device,
                                      const BvhView& view, float eps,
                                      BatchSpec batch, StreamingDbscan& sink,
-                                     ScanMode mode = ScanMode::kHalf,
                                      unsigned block_size = kDefaultBlockSize);
 
 /// Shared-memory bytes GPUCalcShared needs for a given block size (origin

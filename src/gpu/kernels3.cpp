@@ -9,11 +9,11 @@ namespace hdbscan::gpu {
 
 namespace {
 
-/// 3-D analog of the 2-D for_each_neighbor: kFull walks the 27-cell
-/// stencil, kHalf tests each pair once (own-cell suffix via binary search
-/// plus the forward 13-cell stencil) and emits forward rows only.
+/// 3-D analog of the 2-D for_each_neighbor: tests each pair once (own-cell
+/// suffix via binary search plus the forward 13-cell stencil) and emits
+/// forward rows only.
 template <typename Emit>
-void for_each_neighbor3(const GridView3& view, ScanMode mode, PointId pid,
+void for_each_neighbor3(const GridView3& view, PointId pid,
                         const Point3& point, float eps2,
                         cudasim::ThreadCtx& ctx, Emit&& emit) {
   auto scan_range = [&](std::uint32_t begin, std::uint32_t end) {
@@ -28,23 +28,19 @@ void for_each_neighbor3(const GridView3& view, ScanMode mode, PointId pid,
   };
 
   const std::uint32_t cell = view.params.linear_cell(point);
+  const CellRange own = view.cells[cell];
+  ctx.count_global_bytes(sizeof(CellRange));
+  const PointId* first = view.lookup + own.begin;
+  const PointId* last = view.lookup + own.end;
+  const PointId* lo = std::lower_bound(first, last, pid);
+  unsigned probes = 0;
+  while ((1u << probes) < own.count()) ++probes;
+  ctx.count_global_bytes(static_cast<std::uint64_t>(probes) *
+                         sizeof(PointId));
+  scan_range(static_cast<std::uint32_t>(lo - view.lookup), own.end);
   std::array<std::uint32_t, 27> cell_ids{};
-  unsigned ncells = 0;
-  if (mode == ScanMode::kHalf) {
-    const CellRange own = view.cells[cell];
-    ctx.count_global_bytes(sizeof(CellRange));
-    const PointId* first = view.lookup + own.begin;
-    const PointId* last = view.lookup + own.end;
-    const PointId* lo = std::lower_bound(first, last, pid);
-    unsigned probes = 0;
-    while ((1u << probes) < own.count()) ++probes;
-    ctx.count_global_bytes(static_cast<std::uint64_t>(probes) *
-                           sizeof(PointId));
-    scan_range(static_cast<std::uint32_t>(lo - view.lookup), own.end);
-    ncells = get_forward_neighbor_cells3(view.params, cell, cell_ids);
-  } else {
-    ncells = get_neighbor_cells3(view.params, cell, cell_ids);
-  }
+  const unsigned ncells =
+      get_forward_neighbor_cells3(view.params, cell, cell_ids);
   for (unsigned c = 0; c < ncells; ++c) {
     const CellRange range = view.cells[cell_ids[c]];
     ctx.count_global_bytes(sizeof(CellRange));
@@ -57,7 +53,6 @@ struct GlobalKernel3Body {
   float eps2;
   BatchSpec batch;
   ResultSinkView sink;
-  ScanMode mode;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -67,7 +62,7 @@ struct GlobalKernel3Body {
     const Point3 point = view.points[i];
     ctx.count_global_bytes(sizeof(Point3));
     StagedSink staged(sink);
-    for_each_neighbor3(view, mode, pid, point, eps2, ctx,
+    for_each_neighbor3(view, pid, point, eps2, ctx,
                        [&](PointId candidate) {
                          staged.push(NeighborPair{pid, candidate}, ctx);
                        });
@@ -82,7 +77,6 @@ struct CountBatch3Body {
   float eps2;
   BatchSpec batch;
   std::uint32_t* counts;
-  ScanMode mode;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -92,7 +86,7 @@ struct CountBatch3Body {
     const Point3 point = view.points[i];
     ctx.count_global_bytes(sizeof(Point3));
     std::uint32_t matches = 0;
-    for_each_neighbor3(view, mode, pid, point, eps2, ctx,
+    for_each_neighbor3(view, pid, point, eps2, ctx,
                        [&](PointId) { ++matches; });
     counts[gid] = matches;
     ctx.count_global_bytes(sizeof(std::uint32_t));
@@ -107,7 +101,6 @@ struct FillCsr3Body {
   BatchSpec batch;
   const std::uint32_t* offsets;
   PointId* values;
-  ScanMode mode;
 
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
@@ -117,7 +110,7 @@ struct FillCsr3Body {
     const Point3 point = view.points[i];
     ctx.count_global_bytes(sizeof(Point3) + sizeof(std::uint32_t));
     PointId* out = values + offsets[gid];
-    for_each_neighbor3(view, mode, pid, point, eps2, ctx,
+    for_each_neighbor3(view, pid, point, eps2, ctx,
                        [&](PointId candidate) {
                          *out++ = candidate;
                          ctx.count_global_bytes(sizeof(PointId));
@@ -131,15 +124,14 @@ constexpr unsigned kFusedSpill3 = 256;
 
 /// 3-D fused no-table body — same degree/union semantics as the 2-D
 /// FusedKernelBody, traversing via for_each_neighbor3. Own contributions
-/// accumulate in a register (one fetch_add at thread end); under kHalf
-/// each cross pair's back contribution to the partner's degree is a
+/// accumulate in a register (one fetch_add at thread end); each cross
+/// pair's back contribution to the partner's degree is a
 /// per-pair fetch_add whose return value is a monotone lower bound used
 /// for the both-core check. Pairs not yet provably core-core are parked.
 struct FusedKernel3Body {
   GridView3 view;
   float eps2;
   BatchSpec batch;
-  ScanMode mode;
   StreamingDbscan::FusedView fu;
   StreamingDbscan* sink;
 
@@ -157,21 +149,13 @@ struct FusedKernel3Body {
     std::uint64_t seen = 0;
     std::uint64_t streamed = 0;
 
-    for_each_neighbor3(view, mode, pid, point, eps2, ctx,
+    for_each_neighbor3(view, pid, point, eps2, ctx,
                        [&](PointId cand) {
       ++own_degree;  // self pair included: degree counts the point itself
       if (cand == pid) return;
-      std::uint32_t deg_v;
-      if (mode == ScanMode::kHalf) {
-        deg_v = fu.degree[cand].fetch_add(1, std::memory_order_relaxed) + 1;
-        ctx.count_atomic();
-      } else {
-        // Full traversals see each pair twice; the smaller-id side owns
-        // the edge work and partners count their own rows.
-        if (pid > cand) return;
-        deg_v = fu.degree[cand].load(std::memory_order_relaxed);
-        ctx.count_global_bytes(sizeof(std::uint32_t));
-      }
+      const std::uint32_t deg_v =
+          fu.degree[cand].fetch_add(1, std::memory_order_relaxed) + 1;
+      ctx.count_atomic();
       ++seen;
       const std::uint32_t deg_p =
           fu.degree[pid].load(std::memory_order_relaxed) + own_degree;
@@ -239,48 +223,46 @@ struct CountKernel3Body {
 cudasim::KernelStats run_calc_global3(cudasim::Device& device,
                                       const GridView3& view, float eps,
                                       BatchSpec batch, ResultSinkView sink,
-                                      ScanMode mode, unsigned block_size) {
+                                      unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.num_points);
   const unsigned grid = (points + block_size - 1) / block_size;
   return cudasim::run_flat_kernel(
       device, grid, block_size,
-      GlobalKernel3Body{view, eps * eps, batch, sink, mode});
+      GlobalKernel3Body{view, eps * eps, batch, sink});
 }
 
 cudasim::KernelStats run_count_batch3(cudasim::Device& device,
                                       const GridView3& view, float eps,
                                       BatchSpec batch, std::uint32_t* counts,
-                                      ScanMode mode, unsigned block_size) {
+                                      unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.num_points);
   const unsigned grid = (points + block_size - 1) / block_size;
   return cudasim::run_flat_kernel(
       device, grid, block_size,
-      CountBatch3Body{view, eps * eps, batch, counts, mode});
+      CountBatch3Body{view, eps * eps, batch, counts});
 }
 
 cudasim::KernelStats run_fill_csr3(cudasim::Device& device,
                                    const GridView3& view, float eps,
                                    BatchSpec batch,
                                    const std::uint32_t* offsets,
-                                   PointId* values, ScanMode mode,
-                                   unsigned block_size) {
+                                   PointId* values, unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.num_points);
   const unsigned grid = (points + block_size - 1) / block_size;
   return cudasim::run_flat_kernel(
       device, grid, block_size,
-      FillCsr3Body{view, eps * eps, batch, offsets, values, mode});
+      FillCsr3Body{view, eps * eps, batch, offsets, values});
 }
 
 cudasim::KernelStats run_fused_batch3(cudasim::Device& device,
                                       const GridView3& view, float eps,
                                       BatchSpec batch, StreamingDbscan& sink,
-                                      ScanMode mode, unsigned block_size) {
+                                      unsigned block_size) {
   const std::uint32_t points = batch.points_in_batch(view.num_points);
   const unsigned grid = (points + block_size - 1) / block_size;
   return cudasim::run_flat_kernel(
       device, grid, block_size,
-      FusedKernel3Body{view, eps * eps, batch, mode,
-                       sink.fused_view(), &sink});
+      FusedKernel3Body{view, eps * eps, batch, sink.fused_view(), &sink});
 }
 
 std::uint64_t run_count_kernel3(cudasim::Device& device, const GridView3& view,

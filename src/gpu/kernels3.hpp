@@ -13,30 +13,26 @@
 namespace hdbscan::gpu {
 
 /// 3-D GPUCalcGlobal, synchronous; same strided batching as the 2-D kernel.
-/// ScanMode::kHalf tests each pair once and emits forward rows only (see
-/// run_calc_global).
+/// Tests each pair once and emits forward rows only (see run_calc_global).
 cudasim::KernelStats run_calc_global3(cudasim::Device& device,
                                       const GridView3& view, float eps,
                                       BatchSpec batch, ResultSinkView sink,
-                                      ScanMode mode = ScanMode::kFull,
                                       unsigned block_size = kDefaultBlockSize);
 
-/// 3-D two-pass CSR builder, pass 1: per-point neighbor counts (see the
-/// 2-D run_count_batch). kHalf counts forward rows only.
+/// 3-D two-pass CSR builder, pass 1: forward-row neighbor counts (see the
+/// 2-D run_count_batch).
 cudasim::KernelStats run_count_batch3(cudasim::Device& device,
                                       const GridView3& view, float eps,
                                       BatchSpec batch, std::uint32_t* counts,
-                                      ScanMode mode = ScanMode::kFull,
                                       unsigned block_size = kDefaultBlockSize);
 
-/// 3-D two-pass CSR builder, pass 2: fill into exact CSR slots (see the
-/// 2-D run_fill_csr). `mode` must match the count pass.
+/// 3-D two-pass CSR builder, pass 2: fill forward rows into exact CSR
+/// slots (see the 2-D run_fill_csr).
 cudasim::KernelStats run_fill_csr3(cudasim::Device& device,
                                    const GridView3& view, float eps,
                                    BatchSpec batch,
                                    const std::uint32_t* offsets,
                                    PointId* values,
-                                   ScanMode mode = ScanMode::kFull,
                                    unsigned block_size = kDefaultBlockSize);
 
 /// 3-D fused no-table clustering kernel (see the 2-D run_fused_batch):
@@ -48,7 +44,6 @@ cudasim::KernelStats run_fill_csr3(cudasim::Device& device,
 cudasim::KernelStats run_fused_batch3(cudasim::Device& device,
                                       const GridView3& view, float eps,
                                       BatchSpec batch, StreamingDbscan& sink,
-                                      ScanMode mode = ScanMode::kHalf,
                                       unsigned block_size = kDefaultBlockSize);
 
 /// 3-D neighbor-count kernel (estimator / exact census with stride 1).

@@ -87,7 +87,7 @@ class StagedSink {
     if (count_ == kStageCapacity) flush(ctx);
   }
 
-  /// Dual-row append for ScanMode::kHalf: the pair was distance-tested
+  /// Dual-row append for the half scan: the pair was distance-tested
   /// once but qualifies both rows, so emit (a, b) and its transpose
   /// (b, a) together. Both land in the same staging buffer, so the
   /// amortized cursor cost is unchanged.

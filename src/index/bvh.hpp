@@ -13,7 +13,7 @@
 // parents, CSR rows and labels all stay in the one id space regardless of
 // backend, so tables and clusterings are comparable bit-for-bit.
 //
-// ScanMode::kHalf under a tree: there is no forward cell stencil, so the
+// The half scan under a tree: there is no forward cell stencil, so the
 // half-traversal rule is id-based instead — row i owns exactly the
 // candidates with id >= i (self included). Every cross pair (i, j) then
 // appears in exactly one row (the smaller id's), which is precisely the
@@ -37,7 +37,7 @@ struct BvhNode {
   Rect2 mbr;
   std::uint32_t first = 0;   ///< first child node index, or first entry
   std::uint32_t count = 0;   ///< children (internal) or entries (leaf)
-  std::uint32_t max_id = 0;  ///< max resident id in the subtree (kHalf prune)
+  std::uint32_t max_id = 0;  ///< max resident id in the subtree (half prune)
   std::uint32_t leaf = 0;    ///< 1 = leaf (u32 keeps the struct tightly POD)
 };
 
@@ -98,7 +98,7 @@ BvhIndex build_bvh_index(std::span<const Point2> points,
 void bvh_query(const BvhIndex& index, const Point2& q, float eps,
                std::vector<PointId>& out);
 
-/// Forward-only reference search mirroring the kernels' kHalf traversal
+/// Forward-only reference search mirroring the kernels' half traversal
 /// under the tree's id-ownership rule: all resident ids >= `query`
 /// (including query itself) within eps of point `query`. The union of
 /// forward results over all queries, transposed, is the full neighbor

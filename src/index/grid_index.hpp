@@ -74,7 +74,7 @@ unsigned get_neighbor_cells(const GridParams& params, std::uint32_t cell,
 /// linear id strictly greater than `cell` — (+1, 0) in the same row plus
 /// the whole dy = +1 row. Cell adjacency is symmetric, so every adjacent
 /// cell pair (a, b) with a != b appears in exactly one of the two forward
-/// stencils; a unidirectional scan (ScanMode::kHalf) therefore tests every
+/// stencils; the kernels' unidirectional scan therefore tests every
 /// cross-cell candidate pair exactly once. The cell itself is NOT included
 /// — same-cell pairs are halved by the ordering invariant instead (see
 /// build_grid_index).
@@ -163,8 +163,8 @@ struct GridView {
 /// that would exceed `max_cells` (the same capacity concern a 5 GB GPU
 /// imposes on the cell array).
 ///
-/// Ordering invariant (load-bearing for ScanMode::kHalf): within every
-/// cell's [begin, end) range the lookup array A stores point ids in
+/// Ordering invariant (load-bearing for the kernels' half scan): within
+/// every cell's [begin, end) range the lookup array A stores point ids in
 /// strictly ascending order. The counting sort fills A by walking the
 /// (bin-sorted) database in index order with one cursor per cell, so ids
 /// land in each cell in increasing order by construction; the builder
@@ -179,7 +179,7 @@ GridIndex build_grid_index(std::span<const Point2> input, float eps,
 void grid_query(const GridIndex& index, const Point2& q, float eps,
                 std::vector<PointId>& out);
 
-/// Forward-only reference search mirroring the kernels' ScanMode::kHalf
+/// Forward-only reference search mirroring the kernels' half-scan
 /// traversal for point id `query` (an id into the index's reordered D):
 /// same-cell candidates with id >= query (including query itself) plus all
 /// points of the forward-stencil cells, distance-filtered. The union of

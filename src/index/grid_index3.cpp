@@ -159,7 +159,7 @@ GridIndex3 build_grid_index3(std::span<const Point3> input, float eps,
   }
 
   // Same ordering invariant as the 2-D builder: each cell's slice of A is
-  // strictly ascending. ScanMode::kHalf depends on it, so verify.
+  // strictly ascending. The half scan depends on it, so verify.
   for (std::size_t a = 1; a < index.lookup.size(); ++a) {
     if (cell_of[index.lookup[a - 1]] == cell_of[index.lookup[a]] &&
         index.lookup[a - 1] >= index.lookup[a]) {

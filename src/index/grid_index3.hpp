@@ -90,7 +90,7 @@ GridIndex3 build_grid_index3(std::span<const Point3> input, float eps,
 void grid_query3(const GridIndex3& index, const Point3& q, float eps,
                  std::vector<PointId>& out);
 
-/// Forward-only reference search mirroring ScanMode::kHalf in 3-D: same-cell
+/// Forward-only reference search mirroring the half scan in 3-D: same-cell
 /// candidates with id >= query plus all points of the forward 27-stencil
 /// cells, distance-filtered (see grid_query_forward in grid_index.hpp).
 void grid_query3_forward(const GridIndex3& index, PointId query, float eps,

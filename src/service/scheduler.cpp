@@ -141,11 +141,15 @@ void ClusterService::register_dataset(const std::string& name,
     }
   }
   if (ds.ref_pairs == 0) {
-    // No device could run the kernel: a 1-in-16 strided host sample of
-    // the same grid gives the reference figure.
-    const NeighborTable sample = build_neighbor_table_host_strided(
-        index, reference_eps, 0, 16, ScanMode::kFull);
-    ds.ref_pairs = std::max<std::uint64_t>(1, sample.total_pairs() * 16);
+    // No device could run the kernel: the full neighborhoods of a 1-in-16
+    // strided host sample of the same grid give the reference figure.
+    std::uint64_t sampled = 0;
+    std::vector<PointId> neighbors;
+    for (std::size_t i = 0; i < index.query_count(); i += 16) {
+      grid_query(index, index.points[i], reference_eps, neighbors);
+      sampled += neighbors.size();
+    }
+    ds.ref_pairs = std::max<std::uint64_t>(1, sampled * 16);
   }
   std::lock_guard lock(mutex_);
   datasets_[name] = std::move(ds);
@@ -564,8 +568,7 @@ void ClusterService::process_group(PendingPtr leader,
   const Dataset& ds = datasets_.at(lead.dataset);
   const ClusterQuality quality = effective_quality(lead, options_.policy);
   const TableCache::Key key{lead.dataset, eps_bits(lead.eps),
-                            options_.policy.index_backend,
-                            options_.policy.scan_mode};
+                            options_.policy.index_backend};
   const bool coalesced_build = runnable.size() > 1;
   if (coalesced_build) {
     std::lock_guard slock(stats_mutex_);

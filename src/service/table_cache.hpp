@@ -47,17 +47,15 @@ class TableCache {
     std::string dataset;
     std::uint32_t eps_bits = 0;  ///< bit pattern of the float eps
     /// Build configuration the entry was produced under. A canonicalized
-    /// table is backend/scan-mode agnostic *when both paths are correct*,
-    /// but keying on them keeps a backend or scan-mode change from
-    /// silently serving tables built by a differently-validated path —
-    /// an operator A/B-ing grid vs BVH sees each backend populate (and
-    /// hit) its own entries.
+    /// table is backend agnostic *when both paths are correct*, but keying
+    /// on it keeps a backend change from silently serving tables built by
+    /// a differently-validated path — an operator A/B-ing grid vs BVH sees
+    /// each backend populate (and hit) its own entries.
     IndexBackend backend = IndexBackend::kGrid;
-    ScanMode scan_mode = ScanMode::kHalf;
 
     bool operator==(const Key& o) const noexcept {
       return eps_bits == o.eps_bits && backend == o.backend &&
-             scan_mode == o.scan_mode && dataset == o.dataset;
+             dataset == o.dataset;
     }
   };
 
@@ -149,8 +147,7 @@ class TableCache {
   struct KeyHash {
     std::size_t operator()(const Key& k) const noexcept {
       return std::hash<std::string>{}(k.dataset) * 1000003u ^ k.eps_bits ^
-             (static_cast<std::size_t>(k.backend) * 0x9e3779b9u) ^
-             (static_cast<std::size_t>(k.scan_mode) * 0x85ebca6bu);
+             (static_cast<std::size_t>(k.backend) * 0x9e3779b9u);
     }
   };
 

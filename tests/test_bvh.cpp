@@ -1,6 +1,6 @@
 // Packed BVH index (IndexBackend::kBvh): structural invariants of the
 // LBVH-style bottom-up packing, query equivalence against brute force,
-// the id-ownership rule behind ScanMode::kHalf tree traversal, the device
+// the id-ownership rule behind the half-scan tree traversal, the device
 // upload round-trip, and table equivalence against the grid backend.
 #include "index/bvh.hpp"
 
@@ -62,8 +62,8 @@ TEST(Bvh, SinglePoint) {
 }
 
 /// Every node's MBR must contain its subtree, children must be packed
-/// contiguously, max_id must be the true subtree maximum (the kHalf prune
-/// key), and the leaves must partition the id space exactly once.
+/// contiguously, max_id must be the true subtree maximum (the half-scan
+/// prune key), and the leaves must partition the id space exactly once.
 TEST(Bvh, PackedStructureInvariants) {
   const auto points = data::generate_space_weather(
       3000, 31, {.width = 10.0f, .height = 10.0f});
@@ -135,10 +135,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.1f, 0.5f, 1.5f),
                        ::testing::Values(2u, 8u, 16u, 64u)));
 
-/// The kHalf id-ownership rule: row i owns exactly the in-range candidates
-/// with id >= i. The union of forward rows, transposed, must reconstruct
-/// every full eps-neighborhood with each cross pair appearing exactly once
-/// — the expand_half_table contract the fused and CSR paths rely on.
+/// The half-scan id-ownership rule: row i owns exactly the in-range
+/// candidates with id >= i. The union of forward rows, transposed, must
+/// reconstruct every full eps-neighborhood with each cross pair appearing
+/// exactly once — the expand_half_table contract the fused and CSR paths
+/// rely on.
 TEST(Bvh, ForwardQueryCoversEachPairExactlyOnce) {
   const float eps = 0.45f;
   const auto points = data::generate_space_weather(
@@ -225,7 +226,7 @@ TEST(Bvh, DeviceUploadRoundTripsTheView) {
 /// Backend equivalence at the table layer: a BVH-backed device build must
 /// produce a table byte-identical (after canonicalize) to the grid host
 /// oracle — same id space, same pair cover, different traversal.
-TEST(Bvh, DeviceTableMatchesGridOracleAcrossScanModes) {
+TEST(Bvh, DeviceTableMatchesGridOracle) {
   const float eps = 0.4f;
   const auto points = data::generate_space_weather(
       2000, 38, {.width = 10.0f, .height = 10.0f});
@@ -234,19 +235,15 @@ TEST(Bvh, DeviceTableMatchesGridOracleAcrossScanModes) {
   oracle.canonicalize();
 
   cudasim::Device device({}, fast_options());
-  for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
-    SCOPED_TRACE(scan == ScanMode::kHalf ? "kHalf" : "kFull");
-    BatchPolicy policy;
-    policy.index_backend = IndexBackend::kBvh;
-    policy.scan_mode = scan;
-    NeighborTableBuilder builder(device, policy);
-    BuildReport report;
-    NeighborTable table = builder.build(index, eps, &report);
-    table.canonicalize();
-    EXPECT_TRUE(table.identical_to(oracle));
-    EXPECT_EQ(report.index_backend, IndexBackend::kBvh);
-    EXPECT_EQ(report.total_pairs, oracle.total_pairs());
-  }
+  BatchPolicy policy;
+  policy.index_backend = IndexBackend::kBvh;
+  NeighborTableBuilder builder(device, policy);
+  BuildReport report;
+  NeighborTable table = builder.build(index, eps, &report);
+  table.canonicalize();
+  EXPECT_TRUE(table.identical_to(oracle));
+  EXPECT_EQ(report.index_backend, IndexBackend::kBvh);
+  EXPECT_EQ(report.total_pairs, oracle.total_pairs());
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Fused no-table clustering (ClusterMode::kFused): label bit-identity
-// against batch and streaming DBSCAN across backends, scan modes,
-// degenerate inputs and dimensions, the zero-table contract, and the
-// degradation ladder — scripted device loss fails over to survivors and
-// randomized fault plans (including total fleet loss with host fallback)
-// never change a single label.
+// against batch and streaming DBSCAN across backends, degenerate inputs
+// and dimensions, the zero-table contract, and the degradation ladder —
+// scripted device loss fails over to survivors and randomized fault plans
+// (including total fleet loss with host fallback) never change a single
+// label.
 #include "core/fused_clustering.hpp"
 
 #include <gtest/gtest.h>
@@ -105,24 +105,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(IndexBackend::kGrid,
                                          IndexBackend::kBvh)));
 
-TEST(FusedDbscan, FullScanModeMatchesBatch) {
-  const auto points = data::generate_space_weather(
-      2000, 73, {.width = 10.0f, .height = 10.0f});
-  cudasim::Device batch_dev({}, fast_options());
-  const ClusterResult batch = hybrid_dbscan(batch_dev, points, 0.4f, 4);
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    SCOPED_TRACE(to_string(backend));
-    BatchPolicy policy;
-    policy.index_backend = backend;
-    policy.scan_mode = ScanMode::kFull;
-    cudasim::Device dev({}, fast_options());
-    const ClusterResult fused = hybrid_dbscan(
-        dev, points, 0.4f, 4, nullptr, policy, ClusterMode::kFused);
-    EXPECT_EQ(fused.labels, batch.labels);
-  }
-}
-
 TEST(FusedDbscan, DuplicatePointsCluster) {
   // 300 coincident points plus a sparse ring of strays: the duplicate pile
   // exercises degree saturation and self-pair handling in one cell/leaf.
@@ -188,23 +170,19 @@ std::vector<Point3> random_points3(std::size_t n, std::uint64_t seed,
   return points;
 }
 
-TEST(FusedDbscan3, MatchesBatchAcrossScanModes) {
+TEST(FusedDbscan3, MatchesBatch) {
   const auto points = random_points3(2000, 75, 5.0f);
   cudasim::Device batch_dev({}, fast_options());
   const ClusterResult batch = hybrid_dbscan3(batch_dev, points, 0.4f, 4);
-  for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
-    SCOPED_TRACE(scan == ScanMode::kHalf ? "kHalf" : "kFull");
-    cudasim::Device dev({}, fast_options());
-    Build3Report report;
-    const ClusterResult fused =
-        fused_dbscan3(dev, points, 0.4f, 4, &report, scan);
-    EXPECT_EQ(fused.labels, batch.labels);
-    EXPECT_EQ(fused.num_clusters, batch.num_clusters);
-    EXPECT_GT(report.total_pairs, 0u);
-    EXPECT_GT(report.kernel_flops, 0u);
-    // Nothing to transpose: no forward rows ever became a table.
-    EXPECT_EQ(report.expand_seconds, 0.0);
-  }
+  cudasim::Device dev({}, fast_options());
+  Build3Report report;
+  const ClusterResult fused = fused_dbscan3(dev, points, 0.4f, 4, &report);
+  EXPECT_EQ(fused.labels, batch.labels);
+  EXPECT_EQ(fused.num_clusters, batch.num_clusters);
+  EXPECT_GT(report.total_pairs, 0u);
+  EXPECT_GT(report.kernel_flops, 0u);
+  // Nothing to transpose: no forward rows ever became a table.
+  EXPECT_EQ(report.expand_seconds, 0.0);
 }
 
 TEST(FusedDbscan3, DenseClumpsAndMinptsSweep) {

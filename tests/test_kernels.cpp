@@ -1,5 +1,7 @@
 // The two epsilon-neighborhood kernels must agree with each other, with the
 // host oracle, and under any batch decomposition (paper §IV and §VI).
+// GPUCalcGlobal emits forward rows (each pair tested once); GPUCalcShared
+// emits both directions of every tested pair, i.e. the full table.
 #include "gpu/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -48,9 +50,33 @@ std::vector<NeighborPair> oracle_pairs(const GridIndex& index, float eps) {
   return pairs;
 }
 
+/// Forward-row oracle (grid_query_forward), the global kernel's output.
+std::vector<NeighborPair> forward_oracle_pairs(const GridIndex& index,
+                                               float eps) {
+  std::vector<NeighborPair> pairs;
+  std::vector<PointId> row;
+  for (PointId i = 0; i < index.size(); ++i) {
+    grid_query_forward(index, i, eps, row);
+    for (const PointId v : row) pairs.push_back({i, v});
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
+/// Forward rows plus the transpose of every cross pair, sorted.
+std::vector<NeighborPair> symmetrize(const std::vector<NeighborPair>& fwd) {
+  std::vector<NeighborPair> pairs = fwd;
+  for (const NeighborPair& p : fwd) {
+    if (p.key != p.value) pairs.push_back({p.value, p.key});
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
 struct KernelTestData {
   GridIndex index;
-  std::vector<NeighborPair> expected;
+  std::vector<NeighborPair> expected;  ///< full table
+  std::vector<NeighborPair> forward;   ///< forward rows
   float eps;
 };
 
@@ -61,8 +87,9 @@ KernelTestData make_data(int family, float eps, std::size_t n = 2000) {
                           n, 8, {.width = 8.0f, .height = 8.0f})
                     : data::generate_sky_survey(
                           n, 9, {.width = 8.0f, .height = 8.0f});
-  KernelTestData d{build_grid_index(points, eps), {}, eps};
+  KernelTestData d{build_grid_index(points, eps), {}, {}, eps};
   d.expected = oracle_pairs(d.index, eps);
+  d.forward = forward_oracle_pairs(d.index, eps);
   return d;
 }
 
@@ -76,7 +103,9 @@ TEST_P(KernelProperty, GlobalKernelMatchesHostOracle) {
   gpu::ResultSetDevice sink(dev, d.expected.size() + 16);
   const auto stats =
       gpu::run_calc_global(dev, GridView::of(d.index), d.eps, {}, sink.view());
-  EXPECT_EQ(sink_pairs(sink), d.expected);
+  const std::vector<NeighborPair> got = sink_pairs(sink);
+  EXPECT_EQ(got, d.forward);
+  EXPECT_EQ(symmetrize(got), d.expected);
   // nGPU ~ |D| rounded up to blocks (Table II property).
   EXPECT_GE(stats.threads, d.index.size());
   EXPECT_LT(stats.threads, d.index.size() + 256);
@@ -118,7 +147,7 @@ TEST_P(BatchedKernel, UnionOfBatchesEqualsUnbatched) {
     all.insert(all.end(), batch.begin(), batch.end());
   }
   std::sort(all.begin(), all.end());
-  EXPECT_EQ(all, d.expected);
+  EXPECT_EQ(all, d.forward);
 }
 
 INSTANTIATE_TEST_SUITE_P(BatchCounts, BatchedKernel,
@@ -242,7 +271,7 @@ TEST(GlobalKernel, StagedReservationCutsAtomics) {
   const auto points = data::generate_uniform(4000, 75, 10.0f, 10.0f);
   const float eps = 0.4f;
   const GridIndex index = build_grid_index(points, eps);
-  const std::vector<NeighborPair> expected = oracle_pairs(index, eps);
+  const std::vector<NeighborPair> expected = forward_oracle_pairs(index, eps);
   cudasim::Device dev({}, fast_options());
   gpu::ResultSetDevice sink(dev, expected.size() + 16);
   const auto stats =
@@ -289,15 +318,17 @@ TEST(SharedKernel, HandlesCellsLargerThanBlock) {
   const std::uint64_t expected_pairs = 300ull * 300ull;  // all within eps
   gpu::ResultSetDevice sink(dev, expected_pairs + 16);
   gpu::run_calc_shared(dev, GridView::of(index), index.nonempty_cells.data(),
-                       1, 0.5f, sink.view(), ScanMode::kFull,
-                       /*block_size=*/32);
+                       1, 0.5f, sink.view(), /*block_size=*/32);
   EXPECT_FALSE(sink.overflowed());
   EXPECT_EQ(sink.count(), expected_pairs);
 }
 
 TEST(SharedKernel, SubsetScheduleProcessesOnlyThoseCells) {
-  // Processing a subset of cells (the dense-cell hybrid ablation) emits
-  // exactly the pairs whose *key* lives in a scheduled cell.
+  // Processing a subset of cells (the dense-cell hybrid ablation) emits,
+  // in both directions, exactly the pairs whose block is scheduled: a
+  // block tests its own cell and its forward stencil, whose cells all
+  // have larger linear ids, so a pair belongs to its endpoints' lower
+  // cell.
   const KernelTestData d = make_data(1, 0.4f);
   const std::uint32_t half =
       static_cast<std::uint32_t>(d.index.nonempty_cells.size() / 2);
@@ -313,9 +344,10 @@ TEST(SharedKernel, SubsetScheduleProcessesOnlyThoseCells) {
   }
   std::vector<NeighborPair> expected;
   for (const NeighborPair& p : d.expected) {
-    if (scheduled_cell[d.index.params.linear_cell(d.index.points[p.key])]) {
-      expected.push_back(p);
-    }
+    const std::uint32_t owner =
+        std::min(d.index.params.linear_cell(d.index.points[p.key]),
+                 d.index.params.linear_cell(d.index.points[p.value]));
+    if (scheduled_cell[owner]) expected.push_back(p);
   }
   EXPECT_EQ(sink_pairs(sink), expected);
 }

@@ -17,7 +17,11 @@
 #include "core/failure.hpp"
 #include "cudasim/buffer_pool.hpp"
 #include "cudasim/error.hpp"
+#include "cudasim/fault.hpp"
 #include "data/generators.hpp"
+#include "dbscan/dbscan.hpp"
+#include "dbscan/neighbor_table.hpp"
+#include "index/grid_index.hpp"
 #include "obs/registry.hpp"
 #include "service/circuit_breaker.hpp"
 #include "service/table_cache.hpp"
@@ -184,30 +188,18 @@ TEST(TableCacheTest, PinnedEntryIsNeverEvictedWhileInFlight) {
   EXPECT_LE(cache.resident_bytes(), 150u);
 }
 
-/// Regression: the cache key must include the index backend and the scan
-/// mode. A backend A/B (grid vs BVH) or a kHalf/kFull sweep over the same
-/// (dataset, eps) would otherwise serve one variant's table as the
-/// other's measurement.
-TEST(TableCacheTest, KeyIncludesBackendAndScanMode) {
+/// Regression: the cache key must include the index backend. A backend
+/// A/B (grid vs BVH) over the same (dataset, eps) would otherwise serve
+/// one variant's table as the other's measurement.
+TEST(TableCacheTest, KeyIncludesBackend) {
   TableCache cache(1000);
-  const TableCache::Key grid_half{"d", 1, IndexBackend::kGrid,
-                                  ScanMode::kHalf};
-  { auto h = cache.insert(grid_half, make_entry(4, 100)); }
-  EXPECT_TRUE(cache.contains(grid_half));
-  EXPECT_FALSE(
-      cache.find({"d", 1, IndexBackend::kBvh, ScanMode::kHalf}));
-  EXPECT_FALSE(
-      cache.find({"d", 1, IndexBackend::kGrid, ScanMode::kFull}));
-  EXPECT_FALSE(
-      cache.find({"d", 1, IndexBackend::kBvh, ScanMode::kFull}));
-  // All four variants coexist as distinct entries.
-  { auto h = cache.insert({"d", 1, IndexBackend::kBvh, ScanMode::kHalf},
-                          make_entry(4, 100)); }
-  { auto h = cache.insert({"d", 1, IndexBackend::kGrid, ScanMode::kFull},
-                          make_entry(4, 100)); }
-  { auto h = cache.insert({"d", 1, IndexBackend::kBvh, ScanMode::kFull},
-                          make_entry(4, 100)); }
-  EXPECT_EQ(cache.size(), 4u);
+  const TableCache::Key grid{"d", 1, IndexBackend::kGrid};
+  { auto h = cache.insert(grid, make_entry(4, 100)); }
+  EXPECT_TRUE(cache.contains(grid));
+  EXPECT_FALSE(cache.find({"d", 1, IndexBackend::kBvh}));
+  // Both variants coexist as distinct entries.
+  { auto h = cache.insert({"d", 1, IndexBackend::kBvh}, make_entry(4, 100)); }
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(TableCacheTest, RacingInsertAdoptsThePinnedIncumbent) {
@@ -351,6 +343,32 @@ TEST(ClusterServiceTest, PricingScalesQuadraticallyWithEps) {
   EXPECT_EQ(svc->price("nope", 0.4f).first, 0u);
 }
 
+TEST(ClusterServiceTest, CalibrationWithoutADeviceCountsHostSample) {
+  // Every device is lost during calibration, so the reference figure
+  // comes from the host: the full neighborhoods of every 16th point,
+  // scaled back up by 16.
+  cudasim::FaultPlan lost;
+  lost.lost_at_op = 1;
+  cudasim::SimulationOptions opt = fast_options();
+  opt.fault = std::make_shared<cudasim::FaultInjector>(lost);
+  cudasim::Device dev0({}, opt);
+  cudasim::Device dev1({}, opt);
+  ClusterService svc({&dev0, &dev1}, {});
+  const auto points = data::generate_uniform(1500, 5, 12.0f, 12.0f);
+  const float ref_eps = 0.8f;
+  svc.register_dataset("sky", points, ref_eps);
+  EXPECT_TRUE(dev0.lost());
+  EXPECT_TRUE(dev1.lost());
+
+  const GridIndex index = build_grid_index(points, ref_eps);
+  const NeighborTable oracle = build_neighbor_table_host(index, ref_eps);
+  std::uint64_t sampled = 0;
+  for (PointId i = 0; i < oracle.num_points(); i += 16) {
+    sampled += oracle.neighbor_count(i);
+  }
+  EXPECT_EQ(svc.price("sky", ref_eps).first, 16 * sampled);
+}
+
 TEST(ClusterServiceTest, OneItemMinimumAdmitsExactlyOneOverBudgetJob) {
   ServiceFixture f;
   ServiceOptions opt;
@@ -439,45 +457,49 @@ TEST(ClusterServiceTest, ModeledDeadlineAlreadyMissedSkipsTheDevice) {
 }
 
 /// Cache-hit labels must be byte-identical to the fresh build's, across
-/// scan modes and minpts — the canonicalize property carried through the
-/// service: both servings run the same host DBSCAN over byte-identical
-/// tables.
-TEST(ClusterServiceTest, CacheHitLabelsBitIdenticalAcrossScanModesAndMinpts) {
+/// minpts — the canonicalize property carried through the service: both
+/// servings run the same host DBSCAN over byte-identical tables, and so
+/// does DBSCAN over the canonicalized host oracle.
+TEST(ClusterServiceTest, CacheHitLabelsBitIdenticalAcrossMinpts) {
   ServiceFixture f;
-  std::vector<std::vector<std::int32_t>> label_sets;
-  for (const ScanMode scan : {ScanMode::kHalf, ScanMode::kFull}) {
-    ServiceOptions opt;
-    opt.num_workers = 1;
-    opt.cache_bytes_budget = 256ull << 20;
-    opt.coalesce = false;  // force the second same-eps job to hit the cache
-    opt.keep_labels = true;
-    opt.policy.scan_mode = scan;
-    auto svc = f.make(opt);
-    const auto results = svc->replay({
-        job(0.5f, 4),   // fresh build
-        job(0.5f, 4),   // cache hit, same minpts
-        job(0.5f, 12),  // cache hit, different minpts
-    });
-    ASSERT_EQ(results.size(), 3u);
-    for (const JobResult& r : results) {
-      ASSERT_EQ(r.state, JobState::kCompleted);
-    }
-    EXPECT_FALSE(results[0].cache_hit);
-    EXPECT_TRUE(results[1].cache_hit);
-    EXPECT_TRUE(results[2].cache_hit);
-    EXPECT_EQ(svc->stats().cache_hits, 2u);
-    // Same (eps, minpts): bit-identical labels.
-    EXPECT_EQ(results[0].labels, results[1].labels);
-    // Different minpts: a different clustering of the same table.
-    EXPECT_FALSE(results[2].labels.empty());
-    label_sets.push_back(results[0].labels);
-    label_sets.push_back(results[2].labels);
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  opt.cache_bytes_budget = 256ull << 20;
+  opt.coalesce = false;  // force the second same-eps job to hit the cache
+  opt.keep_labels = true;
+  auto svc = f.make(opt);
+  const auto results = svc->replay({
+      job(0.5f, 4),   // fresh build
+      job(0.5f, 4),   // cache hit, same minpts
+      job(0.5f, 12),  // cache hit, different minpts
+  });
+  ASSERT_EQ(results.size(), 3u);
+  for (const JobResult& r : results) {
+    ASSERT_EQ(r.state, JobState::kCompleted);
   }
-  // Across scan modes the canonicalized tables are byte-identical, so the
-  // labels must be too (kHalf run vs kFull run, matched by minpts).
-  ASSERT_EQ(label_sets.size(), 4u);
-  EXPECT_EQ(label_sets[0], label_sets[2]);  // minpts 4
-  EXPECT_EQ(label_sets[1], label_sets[3]);  // minpts 12
+  EXPECT_FALSE(results[0].cache_hit);
+  EXPECT_TRUE(results[1].cache_hit);
+  EXPECT_TRUE(results[2].cache_hit);
+  EXPECT_EQ(svc->stats().cache_hits, 2u);
+  // Same (eps, minpts): bit-identical labels.
+  EXPECT_EQ(results[0].labels, results[1].labels);
+  // Different minpts: a different clustering of the same table.
+  EXPECT_FALSE(results[2].labels.empty());
+
+  // The host oracle's canonicalized table clusters to the same labels
+  // (returned in input order), matched by minpts.
+  const GridIndex index = build_grid_index(f.points, 0.5f);
+  NeighborTable oracle = build_neighbor_table_host(index, 0.5f);
+  oracle.canonicalize();
+  for (const auto& [minpts, got] :
+       {std::pair{4, &results[0].labels}, std::pair{12, &results[2].labels}}) {
+    const ClusterResult want = dbscan_neighbor_table(oracle, minpts);
+    std::vector<std::int32_t> unmapped(want.labels.size());
+    for (std::size_t i = 0; i < want.labels.size(); ++i) {
+      unmapped[index.original_ids[i]] = want.labels[i];
+    }
+    EXPECT_EQ(*got, unmapped) << "minpts " << minpts;
+  }
 }
 
 TEST(ClusterServiceTest, CoalescedGroupSharesOneBuild) {

@@ -76,9 +76,8 @@ Scenario make_scenario(std::size_t n, float eps, std::uint64_t seed) {
 }
 
 /// Small batches so every shard runs several of them per stream.
-BatchPolicy many_batch_policy(const Scenario& s, ScanMode scan) {
+BatchPolicy many_batch_policy(const Scenario& s) {
   BatchPolicy policy;
-  policy.scan_mode = scan;
   policy.estimated_total_override = s.oracle.total_pairs();
   policy.static_threshold_pairs = 1;
   policy.static_buffer_pairs =
@@ -311,26 +310,21 @@ TEST(AbsorbShard, ParallelFanInMatchesSerialAbsorb) {
 // Sharded builds: tables and labels bit-identical to one device
 // ---------------------------------------------------------------------------
 
-struct ShardedCase {
-  ScanMode scan;
-  unsigned shards;
-};
-
-class ShardedBuild : public ::testing::TestWithParam<ShardedCase> {};
+class ShardedBuild : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ShardedBuild, TableBitIdenticalToSingleDeviceBuild) {
-  const ShardedCase param = GetParam();
+  const unsigned shards = GetParam();
   const Scenario s = make_scenario(4000, 0.35f, 21);
 
   cudasim::Device single({}, fast_options());
-  NeighborTableBuilder baseline(single, many_batch_policy(s, param.scan));
+  NeighborTableBuilder baseline(single, many_batch_policy(s));
   NeighborTable want = baseline.build(s.index, s.eps);
   want.canonicalize();
 
-  Fleet fleet = make_fleet(static_cast<int>(param.shards));
+  Fleet fleet = make_fleet(static_cast<int>(shards));
   ShardedBuildOptions options;
-  options.num_shards = param.shards;
-  options.policy = many_batch_policy(s, param.scan);
+  options.num_shards = shards;
+  options.policy = many_batch_policy(s);
   BuildReport report;
   NeighborTable got = build_sharded_neighbor_table(fleet.ptrs, s.index,
                                                    s.eps, options, &report);
@@ -338,7 +332,7 @@ TEST_P(ShardedBuild, TableBitIdenticalToSingleDeviceBuild) {
   EXPECT_TRUE(got.identical_to(want));
 
   EXPECT_GE(report.shards, 1u);
-  EXPECT_LE(report.shards, param.shards);
+  EXPECT_LE(report.shards, shards);
   EXPECT_EQ(report.shard_repartitions, 0u);
   EXPECT_EQ(report.devices_lost, 0u);
   if (report.shards > 1) {
@@ -348,21 +342,21 @@ TEST_P(ShardedBuild, TableBitIdenticalToSingleDeviceBuild) {
 }
 
 TEST_P(ShardedBuild, StreamingLabelsBitIdenticalToSingleDevice) {
-  const ShardedCase param = GetParam();
+  const unsigned shards = GetParam();
   const Scenario s = make_scenario(3000, 0.35f, 22);
   const int minpts = 4;
 
   cudasim::Device single({}, fast_options());
-  NeighborTableBuilder baseline(single, many_batch_policy(s, param.scan));
+  NeighborTableBuilder baseline(single, many_batch_policy(s));
   StreamingDbscan want_consumer(s.index.size(), minpts);
   baseline.build(s.index, s.eps, nullptr, &want_consumer,
                  /*materialize_table=*/false);
   const ClusterResult want = want_consumer.finalize();
 
-  Fleet fleet = make_fleet(static_cast<int>(param.shards));
+  Fleet fleet = make_fleet(static_cast<int>(shards));
   ShardedBuildOptions options;
-  options.num_shards = param.shards;
-  options.policy = many_batch_policy(s, param.scan);
+  options.num_shards = shards;
+  options.policy = many_batch_policy(s);
   StreamingDbscan consumer(s.index.size(), minpts);
   BuildReport report;
   (void)build_sharded_neighbor_table(fleet.ptrs, s.index, s.eps, options,
@@ -386,14 +380,8 @@ TEST_P(ShardedBuild, StreamingLabelsBitIdenticalToSingleDevice) {
   EXPECT_EQ(got.num_clusters, want.num_clusters);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ScanModesAndShardCounts, ShardedBuild,
-    ::testing::Values(ShardedCase{ScanMode::kHalf, 1},
-                      ShardedCase{ScanMode::kHalf, 2},
-                      ShardedCase{ScanMode::kHalf, 3},
-                      ShardedCase{ScanMode::kHalf, 4},
-                      ShardedCase{ScanMode::kFull, 2},
-                      ShardedCase{ScanMode::kFull, 4}));
+INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedBuild,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 TEST(ShardedBuildScaling, ModeledTimeImprovesWithShards) {
   const Scenario s = make_scenario(16000, 0.4f, 23);
@@ -448,7 +436,7 @@ TEST(ShardedBuildChaos, DeviceLossRepartitionsOntoSurvivorsExactly) {
 
   // Fault-free reference labels (streaming consumer, single device).
   cudasim::Device single({}, fast_options());
-  NeighborTableBuilder baseline(single, many_batch_policy(s, ScanMode::kHalf));
+  NeighborTableBuilder baseline(single, many_batch_policy(s));
   StreamingDbscan want_consumer(s.index.size(), minpts);
   baseline.build(s.index, s.eps, nullptr, &want_consumer, false);
   const ClusterResult want = want_consumer.finalize();
@@ -462,7 +450,7 @@ TEST(ShardedBuildChaos, DeviceLossRepartitionsOntoSurvivorsExactly) {
 
   ShardedBuildOptions options;
   options.num_shards = 3;
-  options.policy = many_batch_policy(s, ScanMode::kHalf);
+  options.policy = many_batch_policy(s);
   StreamingDbscan consumer(s.index.size(), minpts);
   BuildReport report;
   NeighborTable table = build_sharded_neighbor_table(
@@ -501,7 +489,7 @@ TEST(ShardedBuildChaos, RandomizedFaultPlansKeepLabelsExact) {
   const int minpts = 4;
 
   cudasim::Device single({}, fast_options());
-  NeighborTableBuilder baseline(single, many_batch_policy(s, ScanMode::kHalf));
+  NeighborTableBuilder baseline(single, many_batch_policy(s));
   StreamingDbscan want_consumer(s.index.size(), minpts);
   baseline.build(s.index, s.eps, nullptr, &want_consumer, false);
   const ClusterResult want = want_consumer.finalize();
@@ -515,7 +503,7 @@ TEST(ShardedBuildChaos, RandomizedFaultPlansKeepLabelsExact) {
     }
     ShardedBuildOptions options;
     options.num_shards = 3;
-    options.policy = many_batch_policy(s, ScanMode::kHalf);
+    options.policy = many_batch_policy(s);
     options.policy.resilience.host_fallback = true;  // survive total loss
     StreamingDbscan consumer(s.index.size(), minpts);
     BuildReport report;
@@ -554,7 +542,7 @@ TEST(ShardedBuildMetrics, PublishesPerShardAndFleetSeries) {
   Fleet fleet = make_fleet(2);
   ShardedBuildOptions options;
   options.num_shards = 2;
-  options.policy = many_batch_policy(s, ScanMode::kHalf);
+  options.policy = many_batch_policy(s);
   BuildReport report;
   (void)build_sharded_neighbor_table(fleet.ptrs, s.index, s.eps, options,
                                      &report);
@@ -603,7 +591,7 @@ TEST(ShardedBuildPipeline, ByteBudgetOneItemMinimumDrainsShardedBuilds) {
   PipelineOptions want_opts;
   want_opts.pipelined = false;
   want_opts.keep_results = true;
-  want_opts.policy = many_batch_policy(s, ScanMode::kHalf);
+  want_opts.policy = many_batch_policy(s);
   cudasim::Device single({}, fast_options());
   const PipelineReport want =
       run_multi_clustering(single, s.points, variants, want_opts);
@@ -615,7 +603,7 @@ TEST(ShardedBuildPipeline, ByteBudgetOneItemMinimumDrainsShardedBuilds) {
   opts.num_shards = 2;
   opts.queue_capacity = 3;
   opts.queue_bytes_budget = 1;  // every table is over budget
-  opts.policy = many_batch_policy(s, ScanMode::kHalf);
+  opts.policy = many_batch_policy(s);
   const PipelineReport got =
       run_multi_clustering(fleet.ptrs, s.points, variants, opts);
 

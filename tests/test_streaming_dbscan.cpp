@@ -58,9 +58,8 @@ Scenario make_scenario(std::size_t n, float eps, std::uint64_t seed) {
 
 /// Many small batches so deliveries interleave across streams (and faults
 /// reliably land mid-build).
-BatchPolicy many_batch_policy(const Scenario& s, ScanMode scan) {
+BatchPolicy many_batch_policy(const Scenario& s) {
   BatchPolicy policy;
-  policy.scan_mode = scan;
   policy.estimated_total_override = s.oracle.total_pairs();
   policy.static_threshold_pairs = 1;
   policy.static_buffer_pairs =
@@ -96,27 +95,25 @@ void expect_streaming_equivalent(NeighborTableBuilder& builder,
             consumer.stats().edges_streamed + consumer.stats().edges_deferred);
 }
 
-class StreamingScanMode : public ::testing::TestWithParam<ScanMode> {};
-
-TEST_P(StreamingScanMode, EquivalentToBatchDbscan) {
+TEST(StreamingDbscan, EquivalentToBatchDbscan) {
   const Scenario s = make_scenario(2500, 0.35f, 91);
   cudasim::Device device({}, fast_options());
-  NeighborTableBuilder builder(device, many_batch_policy(s, GetParam()));
+  NeighborTableBuilder builder(device, many_batch_policy(s));
   expect_streaming_equivalent(builder, s, 4);
 }
 
-TEST_P(StreamingScanMode, EquivalentAcrossMinpts) {
+TEST(StreamingDbscan, EquivalentAcrossMinpts) {
   const Scenario s = make_scenario(1800, 0.3f, 92);
   cudasim::Device device({}, fast_options());
   for (const int minpts : {1, 2, 8, 40}) {
-    NeighborTableBuilder builder(device, many_batch_policy(s, GetParam()));
+    NeighborTableBuilder builder(device, many_batch_policy(s));
     expect_streaming_equivalent(builder, s, minpts);
   }
 }
 
-TEST_P(StreamingScanMode, EquivalentUnderRandomizedFaultPlans) {
+TEST(StreamingDbscan, EquivalentUnderRandomizedFaultPlans) {
   const Scenario s = make_scenario(2000, 0.35f, 93);
-  BatchPolicy policy = many_batch_policy(s, GetParam());
+  BatchPolicy policy = many_batch_policy(s);
   policy.resilience.host_fallback = true;  // survive whatever the plan stacks
   for (const std::uint64_t seed : {11ull, 23ull, 37ull, 58ull}) {
     SCOPED_TRACE("fault seed " + std::to_string(seed));
@@ -129,9 +126,9 @@ TEST_P(StreamingScanMode, EquivalentUnderRandomizedFaultPlans) {
   }
 }
 
-TEST_P(StreamingScanMode, EquivalentUnderDeviceLossFailover) {
+TEST(StreamingDbscan, EquivalentUnderDeviceLossFailover) {
   const Scenario s = make_scenario(2500, 0.35f, 94);
-  BatchPolicy policy = many_batch_policy(s, GetParam());
+  BatchPolicy policy = many_batch_policy(s);
   cudasim::FaultPlan lost;
   lost.lost_at_op = 25;
   cudasim::Device dev0({}, fast_options());
@@ -140,9 +137,9 @@ TEST_P(StreamingScanMode, EquivalentUnderDeviceLossFailover) {
   expect_streaming_equivalent(builder, s, 4);
 }
 
-TEST_P(StreamingScanMode, EquivalentUnderHostFallback) {
+TEST(StreamingDbscan, EquivalentUnderHostFallback) {
   const Scenario s = make_scenario(1500, 0.3f, 95);
-  BatchPolicy policy = many_batch_policy(s, GetParam());
+  BatchPolicy policy = many_batch_policy(s);
   policy.resilience.host_fallback = true;
   cudasim::FaultPlan lost;
   lost.lost_at_op = 20;  // sole device dies -> host drain delivers the rows
@@ -151,8 +148,21 @@ TEST_P(StreamingScanMode, EquivalentUnderHostFallback) {
   expect_streaming_equivalent(builder, s, 4);
 }
 
-INSTANTIATE_TEST_SUITE_P(ScanModes, StreamingScanMode,
-                         ::testing::Values(ScanMode::kHalf, ScanMode::kFull));
+TEST(StreamingDbscan, EquivalentUnderFullHostFallback) {
+  // Every device dies at setup, so the whole table is built on the host
+  // and each key's id-rule forward row (partners >= key) is streamed.
+  const Scenario s = make_scenario(1500, 0.3f, 97);
+  BatchPolicy policy = many_batch_policy(s);
+  policy.resilience.host_fallback = true;
+  cudasim::FaultPlan lost;
+  lost.lost_at_op = 1;
+  cudasim::Device dev0({}, faulted_options(lost));
+  cudasim::Device dev1({}, faulted_options(lost));
+  NeighborTableBuilder builder({&dev0, &dev1}, policy);
+  expect_streaming_equivalent(builder, s, 4);
+  EXPECT_TRUE(dev0.lost());
+  EXPECT_TRUE(dev1.lost());
+}
 
 TEST(StreamingDbscan, SinkAndMaterializedTableCanCoexist) {
   // materialize_table=true with a sink: the caller gets T *and* the
@@ -160,7 +170,7 @@ TEST(StreamingDbscan, SinkAndMaterializedTableCanCoexist) {
   const Scenario s = make_scenario(1200, 0.3f, 96);
   cudasim::Device device({}, fast_options());
   NeighborTableBuilder builder(device,
-                               many_batch_policy(s, ScanMode::kHalf));
+                               many_batch_policy(s));
   StreamingDbscan consumer(s.index.size(), 4);
   BuildReport report;
   NeighborTable table =
@@ -181,7 +191,7 @@ TEST(StreamingDbscan, RejectsBadArgs) {
   const Scenario s = make_scenario(300, 0.3f, 97);
   cudasim::Device device({}, fast_options());
   // No sink and no table: nothing to produce.
-  NeighborTableBuilder csr(device, many_batch_policy(s, ScanMode::kHalf));
+  NeighborTableBuilder csr(device, many_batch_policy(s));
   EXPECT_THROW(csr.build(s.index, s.eps, nullptr, nullptr, false),
                std::invalid_argument);
   EXPECT_THROW(StreamingDbscan(10, 0), std::invalid_argument);
@@ -331,7 +341,7 @@ TEST(StreamingDbscan, FanoutSinkReplicatesDeliveries) {
   const Scenario s = make_scenario(900, 0.3f, 102);
   cudasim::Device device({}, fast_options());
   NeighborTableBuilder builder(device,
-                               many_batch_policy(s, ScanMode::kHalf));
+                               many_batch_policy(s));
   StreamingDbscan a(s.index.size(), 2);
   StreamingDbscan b(s.index.size(), 10);
   FanoutSink fanout;

@@ -133,7 +133,6 @@ int usage() {
       "  hdbscan_cli optics <in> <eps> <minpts> <eps',eps',...>\n"
       "  hdbscan_cli chaos <SW1|SW4|SDSS1|SDSS2|SDSS3|uniform> <n> <seed>"
       " [devices]\n"
-      "  hdbscan_cli perf-smoke [n]\n"
       "  hdbscan_cli fused-smoke [n]\n"
       "  hdbscan_cli stream-smoke [n]\n"
       "  hdbscan_cli shard-smoke [n]\n"
@@ -764,73 +763,6 @@ int cmd_shard_smoke(int argc, char** argv) {
   if (violations == 0) {
     std::printf("shard_smoke: all invariants held (1 device lost, labels"
                 " and table exact)\n");
-  }
-  return violations == 0 ? 0 : 1;
-}
-
-// Perf regression gate (the perf_smoke CTest target): a tiny A/B build of
-// the same index under ScanMode::kFull and ScanMode::kHalf. The half scan
-// must produce the same table while spending at most 0.6x the distance-test
-// FLOPs — if pair pruning ever regresses, this exits nonzero.
-int cmd_perf_smoke(int argc, char** argv) {
-  const std::size_t n =
-      argc >= 3 ? static_cast<std::size_t>(std::atoll(argv[2])) : 6000;
-  const float eps = 0.3f;
-  const auto points = data::generate_uniform(n, 5, 8.0f, 8.0f);
-  const GridIndex index = build_grid_index(points, eps);
-
-  cudasim::SimulationOptions opt;
-  opt.throttle_transfers = false;
-  opt.throttle_pinned_alloc = false;
-
-  BatchPolicy policy;
-  BuildReport full_report, half_report;
-  policy.scan_mode = ScanMode::kFull;
-  cudasim::Device full_dev({}, opt);
-  NeighborTable full =
-      NeighborTableBuilder(full_dev, policy)
-          .build(index, eps, &full_report);
-  policy.scan_mode = ScanMode::kHalf;
-  cudasim::Device half_dev({}, opt);
-  NeighborTable half =
-      NeighborTableBuilder(half_dev, policy)
-          .build(index, eps, &half_report);
-
-  const double ratio =
-      full_report.kernel_flops == 0
-          ? 1.0
-          : static_cast<double>(half_report.kernel_flops) /
-                static_cast<double>(full_report.kernel_flops);
-  std::printf("perf_smoke: n=%zu flops full=%llu half=%llu ratio=%.3f"
-              " modeled full=%.6fs half=%.6fs d2h full=%llu half=%llu\n",
-              points.size(),
-              static_cast<unsigned long long>(full_report.kernel_flops),
-              static_cast<unsigned long long>(half_report.kernel_flops),
-              ratio, full_report.modeled_table_seconds,
-              half_report.modeled_table_seconds,
-              static_cast<unsigned long long>(full_report.d2h_bytes),
-              static_cast<unsigned long long>(half_report.d2h_bytes));
-
-  int violations = 0;
-  if (ratio > 0.6) {
-    std::fprintf(stderr,
-                 "perf_smoke FAILED: half/full flop ratio %.3f > 0.6\n",
-                 ratio);
-    ++violations;
-  }
-  full.canonicalize();
-  half.canonicalize();
-  if (!half.identical_to(full)) {
-    std::fprintf(stderr,
-                 "perf_smoke FAILED: half table differs from full"
-                 " (%zu vs %zu pairs)\n",
-                 half.total_pairs(), full.total_pairs());
-    ++violations;
-  }
-  if (half_report.d2h_bytes >= full_report.d2h_bytes) {
-    std::fprintf(stderr,
-                 "perf_smoke FAILED: half scan did not reduce D2H traffic\n");
-    ++violations;
   }
   return violations == 0 ? 0 : 1;
 }
@@ -1829,7 +1761,6 @@ int main(int argc, char** argv) {
     else if (cmd == "table") rc = cmd_table(argc, argv);
     else if (cmd == "optics") rc = cmd_optics(argc, argv);
     else if (cmd == "chaos") rc = cmd_chaos(argc, argv);
-    else if (cmd == "perf-smoke") rc = cmd_perf_smoke(argc, argv);
     else if (cmd == "fused-smoke") rc = cmd_fused_smoke(argc, argv);
     else if (cmd == "stream-smoke") rc = cmd_stream_smoke(argc, argv);
     else if (cmd == "shard-smoke") rc = cmd_shard_smoke(argc, argv);
