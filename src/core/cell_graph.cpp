@@ -12,6 +12,7 @@
 
 #include "common/timer.hpp"
 #include "dbscan/union_find.hpp"
+#include "index/cell_major.hpp"
 #include "obs/trace.hpp"
 
 namespace hdbscan {
@@ -125,10 +126,14 @@ ClusterResult cell_graph_impl(std::span<const typename Traits::Point> points,
   std::array<float, 3> maxs{};
   mins.fill(std::numeric_limits<float>::max());
   maxs.fill(std::numeric_limits<float>::lowest());
-  for (const Point& p : points) {
+  // std::min/max skip a NaN, so a non-finite coordinate would pass the span
+  // check below and reach the int32 cast; refuse it here.
+  for (std::size_t i = 0; i < n; ++i) {
     for (int axis = 0; axis < Traits::kDims; ++axis) {
-      mins[axis] = std::min(mins[axis], Traits::coord(p, axis));
-      maxs[axis] = std::max(maxs[axis], Traits::coord(p, axis));
+      const float v = Traits::coord(points[i], axis);
+      if (!std::isfinite(v)) detail::throw_non_finite("cell_graph_dbscan", i);
+      mins[axis] = std::min(mins[axis], v);
+      maxs[axis] = std::max(maxs[axis], v);
     }
   }
   // The key holds a bounded number of cells per axis; a wider extent would

@@ -5,8 +5,8 @@
 // capacity leaves, and the upper levels are packed bottom-up with a fixed
 // fan-out — every node's children are contiguous, so the whole tree is
 // four flat arrays that upload to the device as-is (gpu/bvh_device_index).
-// The same spatial-locality property the grid gets from bin-sorting, the
-// BVH gets from the Morton order.
+// The same spatial-locality property the grid gets from its cell-major
+// sort, the BVH gets from the Morton order.
 //
 // Id space: the tree is built over the grid index's reordered database D,
 // and `leaf_ids` are *resident* ids (positions in D). Degrees, union-find

@@ -1,12 +1,16 @@
 // Grid index for epsilon-neighborhood searches (paper §IV, Figure 1).
 //
 // The index consists of:
-//   * D  — the database, re-ordered by unit-width spatial bins so points in
-//          similar locations are nearby in memory (locality optimization);
+//   * D  — the database in cell-major order: one stable counting sort by
+//          linear cell id, so each cell's points are contiguous in memory
+//          (locality optimization; the paper pre-sorts by unit-width bins
+//          instead, see DESIGN.md §10);
 //   * G  — an array of eps x eps cells, each holding a range [Amin, Amax]
 //          into the lookup array;
 //   * A  — the lookup array of point ids, |A| == |D| (a point lives in
-//          exactly one cell, so no per-cell over-allocation is needed);
+//          exactly one cell, so no per-cell over-allocation is needed). On
+//          a full index D is already cell-major, so A is the identity;
+//          shard sub-indexes relabel through it;
 //   * S  — the schedule of non-empty cells (GPUCalcShared assigns one
 //          thread block per entry of S).
 //
@@ -95,7 +99,7 @@ unsigned get_forward_neighbor_cells(const GridParams& params,
 /// 9-cell stencil lies inside the slab by construction.
 struct GridIndex {
   GridParams params;
-  std::vector<Point2> points;          ///< D, bin-sorted
+  std::vector<Point2> points;          ///< D, cell-major
   std::vector<PointId> original_ids;   ///< points[i] came from input[original_ids[i]]
   std::vector<CellRange> cells;        ///< G
   std::vector<PointId> lookup;         ///< A
@@ -159,18 +163,23 @@ struct GridView {
 };
 
 /// Builds the grid index for database `input` and search radius `eps`.
-/// Throws std::invalid_argument for eps <= 0, an empty database, or a grid
-/// that would exceed `max_cells` (the same capacity concern a 5 GB GPU
-/// imposes on the cell array).
+/// Throws std::invalid_argument for eps <= 0, an empty database, a NaN or
+/// infinite coordinate (naming the first such input id), or a grid that
+/// would exceed `max_cells` (the same capacity concern a 5 GB GPU imposes
+/// on the cell array; the cell count is bounded in double before any
+/// integer cast, so a huge extent cannot wrap past the check).
+///
+/// Layout: one stable counting sort of input ids by linear cell id, so D
+/// is cell-major — a PointId is the point's position in cell order, with
+/// ascending input id within a cell (deterministic) — cells[h] is cell
+/// h's contiguous id range, and A is the identity.
 ///
 /// Ordering invariant (load-bearing for the kernels' half scan): within
 /// every cell's [begin, end) range the lookup array A stores point ids in
-/// strictly ascending order. The counting sort fills A by walking the
-/// (bin-sorted) database in index order with one cursor per cell, so ids
-/// land in each cell in increasing order by construction; the builder
-/// verifies this before returning. Half-comparison kernels rely on it to
-/// binary-search their own lookup position and scan only same-cell
-/// candidates with id >= their own.
+/// strictly ascending order. The identity A satisfies it by construction;
+/// the builder verifies it before returning. Half-comparison kernels rely
+/// on it to binary-search their own lookup position and scan only
+/// same-cell candidates with id >= their own.
 GridIndex build_grid_index(std::span<const Point2> input, float eps,
                            std::uint64_t max_cells = 1ull << 27);
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
-#include <tuple>
 #include <stdexcept>
+
+#include "index/cell_major.hpp"
 
 namespace hdbscan {
 
@@ -84,12 +84,15 @@ GridIndex3 build_grid_index3(std::span<const Point3> input, float eps,
     throw std::invalid_argument("grid index 3d: eps must be positive");
   }
 
-  GridIndex3 index;
-
+  // Extent, refusing non-finite coordinates as the 2-D builder does.
   float min_x = std::numeric_limits<float>::max(), max_x = -min_x;
   float min_y = min_x, max_y = max_x;
   float min_z = min_x, max_z = max_x;
-  for (const Point3& p : input) {
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    const Point3& p = input[i];
+    if (!std::isfinite(p.x) || !std::isfinite(p.y) || !std::isfinite(p.z)) {
+      detail::throw_non_finite("grid index 3d", i);
+    }
     min_x = std::min(min_x, p.x);
     max_x = std::max(max_x, p.x);
     min_y = std::min(min_y, p.y);
@@ -98,76 +101,26 @@ GridIndex3 build_grid_index3(std::span<const Point3> input, float eps,
     max_z = std::max(max_z, p.z);
   }
 
+  GridIndex3 index;
   GridParams3& params = index.params;
   params.min_x = min_x;
   params.min_y = min_y;
   params.min_z = min_z;
   params.eps = eps;
-  params.cells_x =
-      static_cast<std::uint32_t>(std::floor((max_x - min_x) / eps)) + 1;
-  params.cells_y =
-      static_cast<std::uint32_t>(std::floor((max_y - min_y) / eps)) + 1;
-  params.cells_z =
-      static_cast<std::uint32_t>(std::floor((max_z - min_z) / eps)) + 1;
-  if (params.num_cells() > max_cells) {
-    throw std::invalid_argument(
-        "grid index 3d: cell array would exceed the configured capacity");
-  }
+  const double cells_x = detail::axis_cells(min_x, max_x, eps);
+  const double cells_y = detail::axis_cells(min_y, max_y, eps);
+  const double cells_z = detail::axis_cells(min_z, max_z, eps);
+  detail::check_cell_count(cells_x * cells_y * cells_z, max_cells,
+                           "grid index 3d");
+  params.cells_x = static_cast<std::uint32_t>(cells_x);
+  params.cells_y = static_cast<std::uint32_t>(cells_y);
+  params.cells_z = static_cast<std::uint32_t>(cells_z);
 
-  // Locality sort by unit-width bins (z, y, x), as in the 2-D builder.
-  std::vector<PointId> order(input.size());
-  std::iota(order.begin(), order.end(), PointId{0});
-  auto unit_bin = [&](PointId id) {
-    const Point3& p = input[id];
-    return std::tuple<std::int64_t, std::int64_t, std::int64_t>(
-        static_cast<std::int64_t>(std::floor(p.z - min_z)),
-        static_cast<std::int64_t>(std::floor(p.y - min_y)),
-        static_cast<std::int64_t>(std::floor(p.x - min_x)));
-  };
-  std::stable_sort(order.begin(), order.end(), [&](PointId a, PointId b) {
-    return unit_bin(a) < unit_bin(b);
-  });
-  index.points.reserve(input.size());
-  index.original_ids = std::move(order);
-  for (PointId id : index.original_ids) index.points.push_back(input[id]);
-
-  // Counting sort into cells.
-  const auto num_cells = static_cast<std::size_t>(params.num_cells());
-  std::vector<std::uint32_t> counts(num_cells, 0);
-  std::vector<std::uint32_t> cell_of(index.points.size());
-  for (std::size_t i = 0; i < index.points.size(); ++i) {
-    const std::uint32_t h = params.linear_cell(index.points[i]);
-    cell_of[i] = h;
-    ++counts[h];
-  }
-  index.cells.resize(num_cells);
-  std::uint32_t running = 0;
-  for (std::size_t h = 0; h < num_cells; ++h) {
-    index.cells[h].begin = running;
-    running += counts[h];
-    index.cells[h].end = running;
-    if (counts[h] > 0) {
-      index.nonempty_cells.push_back(static_cast<std::uint32_t>(h));
-      index.max_cell_occupancy = std::max(index.max_cell_occupancy, counts[h]);
-    }
-  }
-  index.lookup.resize(index.points.size());
-  std::vector<std::uint32_t> cursor(num_cells);
-  for (std::size_t h = 0; h < num_cells; ++h) cursor[h] = index.cells[h].begin;
-  for (std::size_t i = 0; i < index.points.size(); ++i) {
-    index.lookup[cursor[cell_of[i]]++] = static_cast<PointId>(i);
-  }
-
-  // Same ordering invariant as the 2-D builder: each cell's slice of A is
-  // strictly ascending. The half scan depends on it, so verify.
-  for (std::size_t a = 1; a < index.lookup.size(); ++a) {
-    if (cell_of[index.lookup[a - 1]] == cell_of[index.lookup[a]] &&
-        index.lookup[a - 1] >= index.lookup[a]) {
-      throw std::logic_error(
-          "grid index 3d: lookup ids not ascending within a cell (ordering "
-          "invariant violated)");
-    }
-  }
+  // Cell-major layout, as in the 2-D builder.
+  detail::fill_cell_major(
+      index, input, static_cast<std::size_t>(params.num_cells()),
+      [&params](const Point3& p) { return params.linear_cell(p); },
+      "grid index 3d");
   return index;
 }
 

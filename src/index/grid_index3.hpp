@@ -1,7 +1,8 @@
 // 3-D grid index: the straightforward extension of the paper's 2-D scheme
 // (§IV) to spatial volumes — eps-cube cells, a lookup array A with
 // |A| = |D|, and neighborhoods guaranteed to lie within the 27-cell block
-// around a point's cell.
+// around a point's cell. D is laid out cell-major exactly as in 2-D (one
+// stable counting sort by linear cell id; A is the identity).
 #pragma once
 
 #include <array>
@@ -84,6 +85,9 @@ struct GridView3 {
   }
 };
 
+/// Builds the 3-D index; same layout, ordering invariant and input checks
+/// (eps, empty input, non-finite coordinates, `max_cells`) as
+/// build_grid_index.
 GridIndex3 build_grid_index3(std::span<const Point3> input, float eps,
                              std::uint64_t max_cells = 1ull << 27);
 

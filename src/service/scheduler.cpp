@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/timer.hpp"
 #include "core/cell_graph.hpp"
@@ -643,7 +645,9 @@ void ClusterService::process_group(PendingPtr leader,
   // host DBSCAN over the table, measured wall time advancing the modeled
   // clock (host work is real work on this machine). `build_wall` is the
   // wall time this request spent waiting on the group's table build (0
-  // for cache hits).
+  // for cache hits). Every job of the group reads the same table, so jobs
+  // that also share minpts share one DBSCAN run and its labels.
+  std::vector<std::pair<int, ClusterResult>> labels_by_minpts;
   auto finish_from_table = [&](Pending& job, const CachedTable& entry,
                                bool cache_hit, double device_share,
                                int device_id, bool host_fb,
@@ -651,8 +655,15 @@ void ClusterService::process_group(PendingPtr leader,
     RequestScope scope(job.trace);
     const double start = std::max(clock, job.spec.arrival_seconds);
     WallTimer t;
-    const ClusterResult labels =
-        dbscan_neighbor_table(entry.table, job.spec.minpts);
+    auto memo = std::find_if(
+        labels_by_minpts.begin(), labels_by_minpts.end(),
+        [&](const auto& m) { return m.first == job.spec.minpts; });
+    if (memo == labels_by_minpts.end()) {
+      labels_by_minpts.emplace_back(
+          job.spec.minpts, dbscan_neighbor_table(entry.table, job.spec.minpts));
+      memo = std::prev(labels_by_minpts.end());
+    }
+    const ClusterResult& labels = memo->second;
     clock = start + device_share + t.seconds();
     JobResult r;
     r.cache_hit = cache_hit;

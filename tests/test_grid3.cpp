@@ -3,7 +3,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -77,6 +81,36 @@ TEST(GridIndex3, RejectsBadInput) {
   const std::vector<Point3> points{{0, 0, 0}};
   EXPECT_THROW(build_grid_index3({}, 1.0f), std::invalid_argument);
   EXPECT_THROW(build_grid_index3(points, -0.5f), std::invalid_argument);
+
+  // 40 lattice points plus one coordinate no cell can hold, on each axis:
+  // non-finite input is named by its input id, a 1e30-wide extent is
+  // refused before the cell-count cast could wrap it.
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(), inf, -inf,
+                          1e30f}) {
+    for (int axis = 0; axis < 3; ++axis) {
+      std::vector<Point3> lattice;
+      for (int i = 0; i < 40; ++i) {
+        lattice.push_back({0.1f * static_cast<float>(i % 4),
+                           0.1f * static_cast<float>((i / 4) % 5),
+                           0.1f * static_cast<float>(i / 20)});
+      }
+      Point3 p{};
+      (axis == 0 ? p.x : (axis == 1 ? p.y : p.z)) = bad;
+      lattice.push_back(p);
+      try {
+        (void)build_grid_index3(lattice, 0.15f);
+        ADD_FAILURE() << "accepted coordinate " << bad << " on axis " << axis;
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        if (std::isfinite(bad)) {
+          EXPECT_NE(what.find("capacity"), std::string::npos) << what;
+        } else {
+          EXPECT_NE(what.find("input point 40 "), std::string::npos) << what;
+        }
+      }
+    }
+  }
 }
 
 TEST(GridIndex3, LookupIsPermutation) {
@@ -88,6 +122,17 @@ TEST(GridIndex3, LookupIsPermutation) {
   // Reordered points match originals through original_ids.
   for (std::size_t i = 0; i < g.size(); ++i) {
     EXPECT_EQ(g.points[i], points[g.original_ids[i]]);
+  }
+  // Cell-major layout: A is the identity, cell ids never decrease along D,
+  // and a cell's residents keep their input order.
+  for (PointId a = 0; a < g.lookup.size(); ++a) ASSERT_EQ(g.lookup[a], a);
+  for (PointId i = 1; i < g.size(); ++i) {
+    const std::uint32_t prev = g.params.linear_cell(g.points[i - 1]);
+    const std::uint32_t cur = g.params.linear_cell(g.points[i]);
+    ASSERT_LE(prev, cur) << "i=" << i;
+    if (prev == cur) {
+      ASSERT_LT(g.original_ids[i - 1], g.original_ids[i]) << "i=" << i;
+    }
   }
 }
 

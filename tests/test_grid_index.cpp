@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -29,6 +32,33 @@ TEST(GridIndex, RejectsBadInput) {
   EXPECT_THROW(build_grid_index(points, -1.0f), std::invalid_argument);
   EXPECT_THROW(build_grid_index(points, 1e-9f, /*max_cells=*/100),
                std::invalid_argument);
+
+  // 40 grid points plus one coordinate no cell can hold. Non-finite input
+  // is named by its input id; a 1e30-wide extent overflows the cell count
+  // and is refused before the cast could wrap it.
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(), inf, -inf,
+                          1e30f}) {
+    for (const bool on_y : {false, true}) {
+      std::vector<Point2> grid;
+      for (int i = 0; i < 40; ++i) {
+        grid.push_back({0.1f * static_cast<float>(i % 8),
+                        0.1f * static_cast<float>(i / 8)});
+      }
+      grid.push_back(on_y ? Point2{0.0f, bad} : Point2{bad, 0.0f});
+      try {
+        (void)build_grid_index(grid, 0.15f);
+        ADD_FAILURE() << "accepted coordinate " << bad;
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        if (std::isfinite(bad)) {
+          EXPECT_NE(what.find("capacity"), std::string::npos) << what;
+        } else {
+          EXPECT_NE(what.find("input point 40 "), std::string::npos) << what;
+        }
+      }
+    }
+  }
 }
 
 TEST(GridIndex, SinglePointGrid) {
@@ -75,6 +105,18 @@ TEST(GridIndex, CellRangesPartitionLookup) {
     prev_end = c.end;
   }
   EXPECT_EQ(covered, points.size());
+
+  // Cell-major layout: A is the identity, cell ids never decrease along D,
+  // and a cell's residents keep their input order.
+  for (PointId a = 0; a < g.lookup.size(); ++a) ASSERT_EQ(g.lookup[a], a);
+  for (PointId i = 1; i < g.size(); ++i) {
+    const std::uint32_t prev = g.params.linear_cell(g.points[i - 1]);
+    const std::uint32_t cur = g.params.linear_cell(g.points[i]);
+    ASSERT_LE(prev, cur) << "i=" << i;
+    if (prev == cur) {
+      ASSERT_LT(g.original_ids[i - 1], g.original_ids[i]) << "i=" << i;
+    }
+  }
 }
 
 TEST(GridIndex, EveryPointInItsOwnCellRange) {

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -222,6 +223,17 @@ void expect_key_limit_error(const auto& call) {
   }
 }
 
+/// The two trios plus one bad point: it is input id 6.
+void expect_non_finite_error(const auto& call) {
+  try {
+    call();
+    ADD_FAILURE() << "non-finite coordinate was not refused";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("input point 6 "), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(CellGraphWideExtent, RefusesAxesWiderThanTheKey2d) {
   const cudasim::DeviceConfig config;
   for (const int axis : {0, 1}) {
@@ -239,6 +251,48 @@ TEST(CellGraphWideExtent, RefusesAxesWiderThanTheKey3d) {
   const auto wide_z = two_trios_3d(cell_offset(4194304.0, 3), 2);
   expect_key_limit_error(
       [&] { (void)cell_graph_dbscan3(wide_z, 1.0f, 4, config); });
+}
+
+// NaN, +inf and -inf slip past std::min/max; they must be refused by id
+// before the int32 cell cast. A 1e30-wide extent hits the key limit.
+TEST(CellGraphWideExtent, RefusesNonFiniteAndHugeCoordinates2d) {
+  const cudasim::DeviceConfig config;
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(), inf,
+                          -inf}) {
+    for (const int axis : {0, 1}) {
+      auto pts = two_trios_2d(1.0f, axis);
+      pts.push_back(axis == 0 ? Point2{bad, 0.0f} : Point2{0.0f, bad});
+      expect_non_finite_error(
+          [&] { (void)cell_graph_dbscan(pts, 1.0f, 4, config); });
+    }
+  }
+  for (const int axis : {0, 1}) {
+    expect_key_limit_error([&] {
+      (void)cell_graph_dbscan(two_trios_2d(1e30f, axis), 1.0f, 4, config);
+    });
+  }
+}
+
+TEST(CellGraphWideExtent, RefusesNonFiniteAndHugeCoordinates3d) {
+  const cudasim::DeviceConfig config;
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(), inf,
+                          -inf}) {
+    for (const int axis : {0, 1, 2}) {
+      auto pts = two_trios_3d(1.0f, axis);
+      Point3 p{};
+      (axis == 0 ? p.x : (axis == 1 ? p.y : p.z)) = bad;
+      pts.push_back(p);
+      expect_non_finite_error(
+          [&] { (void)cell_graph_dbscan3(pts, 1.0f, 4, config); });
+    }
+  }
+  for (const int axis : {0, 1, 2}) {
+    expect_key_limit_error([&] {
+      (void)cell_graph_dbscan3(two_trios_3d(1e30f, axis), 1.0f, 4, config);
+    });
+  }
 }
 
 TEST(CellGraphWideExtent, ExtentsWithinTheKeyStayExact) {

@@ -527,6 +527,41 @@ TEST(ClusterServiceTest, CoalescedGroupSharesOneBuild) {
   EXPECT_EQ(results[0].labels, results[2].labels);
 }
 
+TEST(ClusterServiceTest, CoalescedCacheGroupSharesLabelsPerMinpts) {
+  ServiceFixture f;
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  opt.cache_bytes_budget = 256ull << 20;  // materialized-table path
+  opt.keep_labels = true;
+  auto svc = f.make(opt);
+  const auto results = svc->replay({
+      job(0.5f, 4, Priority::kNormal, "t0"),
+      job(0.5f, 12, Priority::kNormal, "t1"),
+      job(0.5f, 4, Priority::kBatch, "t2"),
+  });
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(svc->stats().coalesced_jobs, 2u);
+  for (const JobResult& r : results) {
+    ASSERT_EQ(r.state, JobState::kCompleted);
+    EXPECT_TRUE(r.coalesced);
+  }
+  // One DBSCAN run per distinct minpts serves the group; each job still
+  // gets the clustering of its own minpts.
+  const GridIndex index = build_grid_index(f.points, 0.5f);
+  NeighborTable oracle = build_neighbor_table_host(index, 0.5f);
+  oracle.canonicalize();
+  for (const std::size_t i : {0u, 1u, 2u}) {
+    const ClusterResult want =
+        dbscan_neighbor_table(oracle, i == 1 ? 12 : 4);
+    std::vector<std::int32_t> unmapped(want.labels.size());
+    for (std::size_t k = 0; k < want.labels.size(); ++k) {
+      unmapped[index.original_ids[k]] = want.labels[k];
+    }
+    EXPECT_EQ(results[i].labels, unmapped) << "job " << i;
+  }
+  EXPECT_NE(results[0].labels, results[1].labels);
+}
+
 /// Fused jobs coalesce only with fused jobs of the same (eps, minpts) —
 /// the union-find threshold is baked into the traversal — and a plain job
 /// with the same eps never rides the fused build.
