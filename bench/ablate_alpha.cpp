@@ -17,7 +17,7 @@ int main() {
 
   const auto points = bench::load("SW1");
   const float eps = 0.7f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
 
   std::printf("\n  %7s %6s %14s %9s %10s %10s %10s\n", "alpha", "n_b",
               "buffer (MiB)", "batches", "splits", "wall (s)", "pinned(s)");

@@ -18,7 +18,7 @@ int main() {
 
   const auto points = bench::load("SW4");
   const float eps = 0.3f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
 
   std::printf("\n  %14s %12s %16s %14s\n", "pinned (GB/s)", "wall (s)",
               "transfer (s)", "pairs");

@@ -26,7 +26,7 @@ using namespace hdbscan;
 /// ... below end: stride n_b is the paper's strided assignment, stride 1
 /// a contiguous chunk. Full rows keep |R_l| the paper's result size.
 struct BatchKernel {
-  GridView view;
+  GridView<Point2> view;
   float eps2;
   std::uint32_t first, stride, end;
   gpu::ResultSinkView sink;
@@ -68,12 +68,12 @@ int main() {
 
   const auto points = bench::load("SW1");
   const float eps = 0.7f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   cudasim::Device device = bench::make_device();
   cudasim::Stream stream(device);
   gpu::GridDeviceIndex dev_index(device, stream, index);
   stream.synchronize();
-  const GridView view = dev_index.view();
+  const GridView<Point2> view = dev_index.view();
 
   for (const std::uint32_t nb : {4u, 8u, 16u}) {
     std::printf("\n  n_b = %u\n", nb);

@@ -30,7 +30,7 @@ using namespace hdbscan;
 /// left is exactly each sparse point's own-cell suffix (ids >= its own)
 /// and forward stencil.
 struct SparseOnlyKernelBody {
-  GridView view;
+  GridView<Point2> view;
   float eps2;
   const std::uint8_t* dense_cell;
   gpu::ResultSinkView sink;
@@ -80,13 +80,13 @@ int main() {
   for (const char* name : {"SW1", "SDSS1"}) {
     const auto points = bench::load(name);
     const float eps = 0.5f;
-    const GridIndex index = build_grid_index(points, eps);
+    const GridIndex<Point2> index = build_grid_index(points, eps);
 
     cudasim::Device device = bench::make_device();
     cudasim::Stream stream(device);
     gpu::GridDeviceIndex dev_index(device, stream, index);
     stream.synchronize();
-    const GridView view = dev_index.view();
+    const GridView<Point2> view = dev_index.view();
 
     const auto est = estimate_result_size(device, view, eps, 1.0);
     const std::uint64_t cap = est.estimated_total + 1024;

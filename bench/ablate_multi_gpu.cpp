@@ -18,7 +18,7 @@ int main() {
 
   const auto points = bench::load("SDSS3");
   const float eps = 0.11f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
 
   std::printf("\n  %8s %14s %12s %10s\n", "devices", "modeled (s)",
               "batches", "speedup");

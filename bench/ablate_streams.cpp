@@ -19,7 +19,7 @@ int main() {
 
   const auto points = bench::load("SW4");
   const float eps = 0.3f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
 
   for (const double pinned_gbps : {6.0, 0.75}) {
     std::printf("\n  PCIe model: %.2f GB/s pinned (%s)\n", pinned_gbps,

@@ -31,7 +31,7 @@ int main() {
   for (const char* name : {"SW1", "SDSS1", "SDSS3"}) {
     const auto points = bench::load(name);
     const float eps = name == std::string("SDSS3") ? 0.11f : 0.5f;
-    const GridIndex index = build_grid_index(points, eps);
+    const GridIndex<Point2> index = build_grid_index(points, eps);
 
     // --- single variant ---
     cudasim::Device device_a = bench::make_device();

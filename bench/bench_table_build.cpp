@@ -79,7 +79,8 @@ struct BuildResult {
 };
 
 BuildResult run_build(cudasim::Device& device,
-                      const hdbscan::GridIndex& index, float eps) {
+                      const hdbscan::GridIndex<hdbscan::Point2>& index,
+                      float eps) {
   using namespace hdbscan;
   BuildResult r;
   NeighborTableBuilder builder(device, {});
@@ -134,7 +135,7 @@ int main() {
        std::vector<std::pair<std::string, float>>{{"SW1", 0.3f},
                                                   {"SDSS1", 0.5f}}) {
     const auto points = bench::load(dataset);
-    const GridIndex index = build_grid_index(points, eps);
+    const GridIndex<Point2> index = build_grid_index(points, eps);
     cudasim::Device device = bench::make_device();
 
     Row row{dataset, eps, points.size(), data::dataset_seed(dataset),
@@ -164,7 +165,7 @@ int main() {
   {
     const auto points = bench::load("SW1");
     const float eps = 0.3f;
-    const GridIndex index = build_grid_index(points, eps);
+    const GridIndex<Point2> index = build_grid_index(points, eps);
     cudasim::Device device = bench::make_device();
     NeighborTableBuilder builder(device, {});
     std::printf("\n  reuse sweep (4 variants, same device):\n");
@@ -200,7 +201,7 @@ int main() {
     const auto points = bench::load("SW1");
     const float eps = 0.3f;
     const int minpts = 4;
-    const GridIndex index = build_grid_index(points, eps);
+    const GridIndex<Point2> index = build_grid_index(points, eps);
     // The wall gap between the two modes is a few ms on a ~20 ms run;
     // min-of-N needs more samples here than the build-only sections.
     const int repeats = std::max(7, env_trials());
@@ -594,7 +595,7 @@ int main() {
     const auto points = data::make_dataset(dataset, kShardSweepSize);
     std::printf("  dataset %-6s |D| = %zu (sharded sweep)\n",
                 dataset.c_str(), points.size());
-    const GridIndex index = build_grid_index(points, eps);
+    const GridIndex<Point2> index = build_grid_index(points, eps);
     ShardScalingRow row{dataset, eps, points.size(), {}};
     const int repeats = std::max(3, env_trials());
     for (unsigned k = 1; k <= 4; ++k) {
@@ -782,7 +783,7 @@ int main() {
   {
     const float eps = rows.front().eps;
     const auto points = data::make_dataset(rows.front().dataset);
-    const GridIndex index = build_grid_index(points, eps);
+    const GridIndex<Point2> index = build_grid_index(points, eps);
     cudasim::Device device = bench::make_device();
     NeighborTableBuilder builder(device, {});
 

@@ -59,7 +59,7 @@ BENCHMARK(BM_RTreeBuild)->Arg(10000)->Arg(50000)->Arg(200000);
 
 void BM_GridQuery(benchmark::State& state) {
   const auto& points = bench_points();
-  const GridIndex index = build_grid_index(points, 0.3f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.3f);
   std::vector<PointId> out;
   std::size_t q = 0;
   for (auto _ : state) {
@@ -110,13 +110,14 @@ BENCHMARK(BM_SortByKey)->Arg(100000)->Arg(1000000);
 void BM_CalcGlobalKernel(benchmark::State& state) {
   const auto& points = bench_points();
   const float eps = 0.3f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   cudasim::Device device({}, fast_options());
   const NeighborTable oracle = build_neighbor_table_host(index, eps);
   gpu::ResultSetDevice sink(device, oracle.total_pairs() + 1024);
   for (auto _ : state) {
     sink.reset();
-    gpu::run_calc_global(device, GridView::of(index), eps, {}, sink.view());
+    gpu::run_calc_global(device, GridView<Point2>::of(index), eps, {},
+                         sink.view());
   }
   state.SetItemsProcessed(state.iterations() * points.size());
 }
@@ -125,7 +126,7 @@ BENCHMARK(BM_CalcGlobalKernel);
 void BM_DbscanOverTable(benchmark::State& state) {
   const auto& points = bench_points();
   const float eps = 0.3f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable table = build_neighbor_table_host(index, eps);
   for (auto _ : state) {
     benchmark::DoNotOptimize(dbscan_neighbor_table(table, 4));

@@ -28,7 +28,7 @@ int main() {
 
   for (const auto& [name, eps] : bench::scenario_s1()) {
     const auto points = bench::load(name);
-    const GridIndex index = build_grid_index(points, eps);
+    const GridIndex<Point2> index = build_grid_index(points, eps);
 
     cudasim::Device device = bench::make_device();
     cudasim::Stream stream(device);

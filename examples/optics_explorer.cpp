@@ -30,7 +30,7 @@ int main() {
 
   // One device pass: grid index + batched neighbor table at eps_max.
   WallTimer table_timer;
-  const GridIndex index = build_grid_index(points, eps_max);
+  const GridIndex<Point2> index = build_grid_index(points, eps_max);
   NeighborTableBuilder builder(device);
   const NeighborTable table = builder.build(index, eps_max);
   std::printf("neighbor table at eps=%.2f: %zu pairs in %.3f s\n", eps_max,

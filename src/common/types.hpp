@@ -59,6 +59,31 @@ struct Point3 {
   return std::sqrt(dist2(a, b));
 }
 
+/// Point traits: the one place the grid index, the kernels and the
+/// cell-graph pass learn a point type's dimension. kFlopsPerTest is the
+/// charge of one squared-distance test (a subtract, multiply and add or
+/// compare per axis).
+template <typename Point>
+struct PointTraits;
+
+template <>
+struct PointTraits<Point2> {
+  static constexpr int kDims = 2;
+  static constexpr std::uint64_t kFlopsPerTest = 3 * kDims;
+  static float coord(const Point2& p, int axis) noexcept {
+    return axis == 0 ? p.x : p.y;
+  }
+};
+
+template <>
+struct PointTraits<Point3> {
+  static constexpr int kDims = 3;
+  static constexpr std::uint64_t kFlopsPerTest = 3 * kDims;
+  static float coord(const Point3& p, int axis) noexcept {
+    return axis == 0 ? p.x : (axis == 1 ? p.y : p.z);
+  }
+};
+
 /// Axis-aligned bounding rectangle (used by the R-tree and generators).
 struct Rect2 {
   float min_x = std::numeric_limits<float>::max();

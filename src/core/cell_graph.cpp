@@ -22,27 +22,6 @@ namespace {
 constexpr std::int32_t kStencilReach = 2;  ///< sqrt(d) cells cover eps
 constexpr PointId kNoCore = std::numeric_limits<PointId>::max();
 
-/// Traits unify the 2-D and 3-D passes: coordinate count, per-axis access
-/// and the per-distance-test FLOP charge (matching the traversal kernels:
-/// 3 per axis for the squared difference plus the compare).
-struct Traits2 {
-  static constexpr int kDims = 2;
-  static constexpr std::uint64_t kFlopsPerTest = 6;
-  using Point = Point2;
-  static float coord(const Point& p, int axis) noexcept {
-    return axis == 0 ? p.x : p.y;
-  }
-};
-
-struct Traits3 {
-  static constexpr int kDims = 3;
-  static constexpr std::uint64_t kFlopsPerTest = 9;
-  using Point = Point3;
-  static float coord(const Point& p, int axis) noexcept {
-    return axis == 0 ? p.x : (axis == 1 ? p.y : p.z);
-  }
-};
-
 /// One occupied cell: its packed coordinates and resident point ids.
 /// Cells are sorted by packed key, so every pass below iterates them in a
 /// deterministic order regardless of the hash map's bucket layout.
@@ -94,12 +73,14 @@ double cell_min_dist2(const std::array<std::int32_t, 3>& a,
   return d2;
 }
 
-template <typename Traits>
-ClusterResult cell_graph_impl(std::span<const typename Traits::Point> points,
+template <typename Point>
+ClusterResult cell_graph_impl(std::span<const Point> points,
                               float eps, int minpts,
                               const cudasim::DeviceConfig& config,
                               CellGraphReport* report) {
-  using Point = typename Traits::Point;
+  // Dimension, per-axis access and the per-distance-test FLOP charge
+  // (matching the traversal kernels).
+  using Traits = PointTraits<Point>;
   if (eps <= 0.0f) {
     throw std::invalid_argument("cell_graph_dbscan: eps must be positive");
   }
@@ -347,14 +328,14 @@ ClusterResult cell_graph_dbscan(std::span<const Point2> points, float eps,
                                 int minpts,
                                 const cudasim::DeviceConfig& config,
                                 CellGraphReport* report) {
-  return cell_graph_impl<Traits2>(points, eps, minpts, config, report);
+  return cell_graph_impl<Point2>(points, eps, minpts, config, report);
 }
 
 ClusterResult cell_graph_dbscan3(std::span<const Point3> points, float eps,
                                  int minpts,
                                  const cudasim::DeviceConfig& config,
                                  CellGraphReport* report) {
-  return cell_graph_impl<Traits3>(points, eps, minpts, config, report);
+  return cell_graph_impl<Point3>(points, eps, minpts, config, report);
 }
 
 }  // namespace hdbscan

@@ -9,7 +9,7 @@
 namespace hdbscan {
 
 ResultSizeEstimate estimate_result_size(cudasim::Device& device,
-                                        const GridView& view, float eps,
+                                        const GridView<Point2>& view, float eps,
                                         double sample_fraction,
                                         unsigned block_size) {
   if (!(sample_fraction > 0.0) || sample_fraction > 1.0) {

@@ -27,7 +27,7 @@ struct ResultSizeEstimate {
 /// Runs the count kernel over every `stride`-th point, stride = round(1/f).
 /// `view` may point at host vectors or device buffers.
 ResultSizeEstimate estimate_result_size(cudasim::Device& device,
-                                        const GridView& view, float eps,
+                                        const GridView<Point2>& view, float eps,
                                         double sample_fraction = 0.01,
                                         unsigned block_size = 256);
 

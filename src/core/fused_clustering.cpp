@@ -33,7 +33,7 @@ struct FusedContext {
       : device(device_in), timeline_id(timeline_id_in), stream(device_in) {}
 
   cudasim::Device& device;
-  GridView view{};     ///< kGrid traversal + batch-domain arithmetic
+  GridView<Point2> view{};     ///< kGrid traversal + batch-domain arithmetic
   BvhView bvh_view{};  ///< kBvh traversal
   IndexBackend backend = IndexBackend::kGrid;
   unsigned timeline_id;
@@ -208,7 +208,7 @@ void fused_pump(FusedContext& fc, FusedWorkQueue& queue,
 }  // namespace
 
 BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
-                          const GridIndex& index, float eps,
+                          const GridIndex<Point2>& index, float eps,
                           StreamingDbscan& consumer,
                           const BatchPolicy& policy) {
   TRACE_SPAN("fused", "fused_cluster n=%zu", index.size());
@@ -449,7 +449,8 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
   return report;
 }
 
-BuildReport fused_cluster(cudasim::Device& device, const GridIndex& index,
+BuildReport fused_cluster(cudasim::Device& device,
+                          const GridIndex<Point2>& index,
                           float eps, StreamingDbscan& consumer,
                           const BatchPolicy& policy) {
   return fused_cluster(std::vector<cudasim::Device*>{&device}, index, eps,

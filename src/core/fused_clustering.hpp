@@ -42,12 +42,13 @@ namespace hdbscan {
 /// labels; buffer and estimation fields are
 /// ignored — there is nothing to size or estimate.
 BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
-                          const GridIndex& index, float eps,
+                          const GridIndex<Point2>& index, float eps,
                           StreamingDbscan& consumer,
                           const BatchPolicy& policy = {});
 
 /// Single-device convenience overload.
-BuildReport fused_cluster(cudasim::Device& device, const GridIndex& index,
+BuildReport fused_cluster(cudasim::Device& device,
+                          const GridIndex<Point2>& index,
                           float eps, StreamingDbscan& consumer,
                           const BatchPolicy& policy = {});
 

@@ -44,7 +44,8 @@ ClusterResult run_cell_graph_mode(const cudasim::DeviceConfig& config,
 /// traversal, finalize the consumer, fill the streaming/fused timing
 /// fields. `local.index_seconds` must already be set.
 ClusterResult run_fused_mode(const std::vector<cudasim::Device*>& devices,
-                             const GridIndex& index, float eps, int minpts,
+                             const GridIndex<Point2>& index, float eps,
+                             int minpts,
                              const BatchPolicy& policy, HybridTimings& local,
                              WallTimer& total_timer) {
   WallTimer phase_timer;
@@ -105,7 +106,7 @@ ClusterResult hybrid_dbscan(cudasim::Device& device,
     return out;
   }
   WallTimer phase_timer;
-  const GridIndex index = [&] {
+  const GridIndex<Point2> index = [&] {
     TRACE_SPAN("index", "grid_index n=%zu", points.size());
     return build_grid_index(points, eps);
   }();
@@ -197,7 +198,7 @@ ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
   }
 
   WallTimer phase_timer;
-  const GridIndex index = [&] {
+  const GridIndex<Point2> index = [&] {
     TRACE_SPAN("index", "grid_index n=%zu", points.size());
     return build_grid_index(points, eps);
   }();

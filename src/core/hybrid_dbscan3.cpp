@@ -1,54 +1,59 @@
 #include "core/hybrid_dbscan3.hpp"
 
-
 #include "common/timer.hpp"
 #include "core/cell_graph.hpp"
+#include "core/hybrid_dbscan.hpp"  // unmap_labels
 #include "cudasim/buffer.hpp"
 #include "cudasim/buffer_pool.hpp"
 #include "cudasim/sort.hpp"
 #include "cudasim/stream.hpp"
 #include "dbscan/dbscan.hpp"
-#include "gpu/kernels3.hpp"
-#include "gpu/result_sink.hpp"
+#include "gpu/kernels.hpp"
 
 namespace hdbscan {
 
-NeighborTable build_neighbor_table_host3(const GridIndex3& index, float eps) {
-  NeighborTable table(index.size());
-  std::vector<PointId> neighbors;
-  std::vector<NeighborPair> pairs;
-  for (PointId i = 0; i < index.size(); ++i) {
-    grid_query3(index, index.points[i], eps, neighbors);
-    pairs.clear();
-    for (const PointId v : neighbors) pairs.push_back({i, v});
-    table.append_sorted_batch(pairs);
+namespace {
+
+/// D, G and A of a 3-D index uploaded to the device: everything the
+/// traversal kernels read (the schedule S feeds only GPUCalcShared, which
+/// is 2-D only, so it stays on the host).
+struct DeviceGrid3 {
+  DeviceGrid3(cudasim::Device& device, const GridIndex<Point3>& index)
+      : stream(device),
+        points(device, index.points.size()),
+        cells(device, index.cells.size()),
+        lookup(device, index.lookup.size()),
+        view{index.params, points.device_data(),
+             static_cast<std::uint32_t>(index.points.size()),
+             cells.device_data(), lookup.device_data()} {
+    stream.memcpy_to_device(points, index.points.data(), index.points.size());
+    stream.memcpy_to_device(cells, index.cells.data(), index.cells.size());
+    stream.memcpy_to_device(lookup, index.lookup.data(), index.lookup.size());
+    stream.synchronize();
   }
-  return table;
-}
+
+  /// Modeled H2D time of the upload (pageable host memory).
+  [[nodiscard]] double upload_seconds(const cudasim::DeviceConfig& c) const {
+    return cudasim::modeled_transfer_seconds(
+        c, points.bytes() + cells.bytes() + lookup.bytes(), false);
+  }
+
+  cudasim::Stream stream;
+  cudasim::DeviceBuffer<Point3> points;
+  cudasim::DeviceBuffer<CellRange> cells;
+  cudasim::DeviceBuffer<PointId> lookup;
+  GridView<Point3> view;
+};
+
+}  // namespace
 
 NeighborTable build_neighbor_table_device3(cudasim::Device& device,
-                                           const GridIndex3& index, float eps,
-                                           Build3Report* report) {
+                                           const GridIndex<Point3>& index,
+                                           float eps, BuildReport* report) {
   WallTimer total_timer;
-  Build3Report local;
-
-  // Upload D, G, A.
-  cudasim::Stream stream(device);
-  cudasim::DeviceBuffer<Point3> d_points(device, index.points.size());
-  cudasim::DeviceBuffer<CellRange> d_cells(device, index.cells.size());
-  cudasim::DeviceBuffer<PointId> d_lookup(device, index.lookup.size());
-  stream.memcpy_to_device(d_points, index.points.data(), index.points.size());
-  stream.memcpy_to_device(d_cells, index.cells.data(), index.cells.size());
-  stream.memcpy_to_device(d_lookup, index.lookup.data(), index.lookup.size());
-  stream.synchronize();
-  const GridView3 view{index.params, d_points.device_data(),
-                       static_cast<std::uint32_t>(index.points.size()),
-                       d_cells.device_data(), d_lookup.device_data()};
-
-  const std::uint64_t upload_bytes = d_points.bytes() + d_cells.bytes() +
-                                     d_lookup.bytes();
-  local.modeled_table_seconds +=
-      cudasim::modeled_transfer_seconds(device.config(), upload_bytes, false);
+  BuildReport local;
+  const DeviceGrid3 grid(device, index);
+  local.modeled_table_seconds += grid.upload_seconds(device.config());
 
   // Two-pass CSR build, single batch: count per point, scan to exact
   // offsets, fill straight into the slots. No device sort, no pair keys on
@@ -56,8 +61,8 @@ NeighborTable build_neighbor_table_device3(cudasim::Device& device,
   const auto npts = static_cast<std::uint32_t>(index.points.size());
   cudasim::PooledDeviceBuffer<std::uint32_t> d_counts(
       device, std::max<std::uint32_t>(1, npts));
-  cudasim::KernelStats stats = gpu::run_count_batch3(
-      device, view, eps, {}, d_counts.device_data());
+  cudasim::KernelStats stats = gpu::run_count_batch(
+      device, grid.view, eps, {}, d_counts.device_data());
   local.modeled_table_seconds += stats.modeled_seconds;
   local.kernel_flops += stats.work.flops;
 
@@ -67,8 +72,8 @@ NeighborTable build_neighbor_table_device3(cudasim::Device& device,
 
   cudasim::PooledDeviceBuffer<PointId> d_values(
       device, std::max<std::uint64_t>(1, pairs));
-  stats = gpu::run_fill_csr3(device, view, eps, {}, d_counts.device_data(),
-                             d_values.device_data());
+  stats = gpu::run_fill_csr(device, grid.view, eps, {},
+                            d_counts.device_data(), d_values.device_data());
   local.modeled_table_seconds += stats.modeled_seconds;
   local.kernel_flops += stats.work.flops;
 
@@ -109,7 +114,7 @@ NeighborTable build_neighbor_table_device3(cudasim::Device& device,
 
 ClusterResult hybrid_dbscan3(cudasim::Device& device,
                              std::span<const Point3> points, float eps,
-                             int minpts, Build3Report* report,
+                             int minpts, BuildReport* report,
                              ClusterQuality quality) {
   if (quality == ClusterQuality::kCellGraph) {
     WallTimer total_timer;
@@ -117,7 +122,7 @@ ClusterResult hybrid_dbscan3(cudasim::Device& device,
     ClusterResult out =
         cell_graph_dbscan3(points, eps, minpts, device.config(), &cg);
     if (report != nullptr) {
-      Build3Report local;
+      BuildReport local;
       local.total_pairs = cg.distance_tests;
       local.table_seconds = total_timer.seconds();
       local.modeled_table_seconds = cg.modeled_seconds;
@@ -125,47 +130,27 @@ ClusterResult hybrid_dbscan3(cudasim::Device& device,
     }
     return out;
   }
-  const GridIndex3 index = build_grid_index3(points, eps);
+  const GridIndex<Point3> index = build_grid_index(points, eps);
   const NeighborTable table =
       build_neighbor_table_device3(device, index, eps, report);
-  const ClusterResult indexed = dbscan_neighbor_table(table, minpts);
-  ClusterResult out;
-  out.num_clusters = indexed.num_clusters;
-  out.labels.resize(indexed.labels.size());
-  for (std::size_t i = 0; i < indexed.labels.size(); ++i) {
-    out.labels[index.original_ids[i]] = indexed.labels[i];
-  }
-  out.finalize_noise_count();
-  return out;
+  return unmap_labels(dbscan_neighbor_table(table, minpts),
+                      index.original_ids);
 }
 
 ClusterResult fused_dbscan3(cudasim::Device& device,
                             std::span<const Point3> points, float eps,
-                            int minpts, Build3Report* report) {
+                            int minpts, BuildReport* report) {
   WallTimer total_timer;
-  Build3Report local;
-  const GridIndex3 index = build_grid_index3(points, eps);
-
-  // Upload D, G, A — the only device-resident state the fused kernel
-  // needs; no counts buffer, no CSR values, no staging.
-  cudasim::Stream stream(device);
-  cudasim::DeviceBuffer<Point3> d_points(device, index.points.size());
-  cudasim::DeviceBuffer<CellRange> d_cells(device, index.cells.size());
-  cudasim::DeviceBuffer<PointId> d_lookup(device, index.lookup.size());
-  stream.memcpy_to_device(d_points, index.points.data(), index.points.size());
-  stream.memcpy_to_device(d_cells, index.cells.data(), index.cells.size());
-  stream.memcpy_to_device(d_lookup, index.lookup.data(), index.lookup.size());
-  stream.synchronize();
-  const GridView3 view{index.params, d_points.device_data(),
-                       static_cast<std::uint32_t>(index.points.size()),
-                       d_cells.device_data(), d_lookup.device_data()};
-  local.modeled_table_seconds += cudasim::modeled_transfer_seconds(
-      device.config(),
-      d_points.bytes() + d_cells.bytes() + d_lookup.bytes(), false);
+  BuildReport local;
+  const GridIndex<Point3> index = build_grid_index(points, eps);
+  // The fused kernel needs only D, G and A on the device: no counts
+  // buffer, no CSR values, no staging.
+  const DeviceGrid3 grid(device, index);
+  local.modeled_table_seconds += grid.upload_seconds(device.config());
 
   StreamingDbscan consumer(index.size(), minpts);
   const cudasim::KernelStats stats =
-      gpu::run_fused_batch3(device, view, eps, {}, consumer);
+      gpu::run_fused_batch(device, grid.view, eps, {}, consumer);
   local.modeled_table_seconds += stats.modeled_seconds;
   local.kernel_flops += stats.work.flops;
 
@@ -178,15 +163,7 @@ ClusterResult fused_dbscan3(cudasim::Device& device,
   local.total_pairs = st.edges_seen;
   local.table_seconds = total_timer.seconds();
   if (report != nullptr) *report = local;
-
-  ClusterResult out;
-  out.num_clusters = indexed.num_clusters;
-  out.labels.resize(indexed.labels.size());
-  for (std::size_t i = 0; i < indexed.labels.size(); ++i) {
-    out.labels[index.original_ids[i]] = indexed.labels[i];
-  }
-  out.finalize_noise_count();
-  return out;
+  return unmap_labels(indexed, index.original_ids);
 }
 
 }  // namespace hdbscan

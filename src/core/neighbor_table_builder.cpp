@@ -34,7 +34,7 @@ namespace {
 /// shard of T lock-free, and the builder harvests the numbers after the
 /// streams synchronize — the shared mutex never sits on the batch path.
 struct StreamContext {
-  StreamContext(cudasim::Device& device_in, const GridView& view_in,
+  StreamContext(cudasim::Device& device_in, const GridView<Point2>& view_in,
                 std::uint64_t buffer_pairs, std::uint32_t max_batch_points,
                 unsigned timeline_id_in)
       : device(device_in),
@@ -59,7 +59,7 @@ struct StreamContext {
   }
 
   cudasim::Device& device;
-  GridView view;
+  GridView<Point2> view;
   /// Which index the traversal kernels run against. kBvh contexts also
   /// carry a device BVH view; the grid view stays for the batch-domain
   /// arithmetic (query_count) and the estimation kernel.
@@ -451,7 +451,8 @@ NeighborTableBuilder::NeighborTableBuilder(
   }
 }
 
-NeighborTable NeighborTableBuilder::build(const GridIndex& index, float eps,
+NeighborTable NeighborTableBuilder::build(const GridIndex<Point2>& index,
+                                          float eps,
                                           BuildReport* report,
                                           BatchSink* sink,
                                           bool materialize_table) {
@@ -466,7 +467,7 @@ NeighborTable NeighborTableBuilder::build(const GridIndex& index, float eps,
   }
 }
 
-NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
+NeighborTable NeighborTableBuilder::build_impl(const GridIndex<Point2>& index,
                                                float eps, BuildReport* report,
                                                BatchSink* sink,
                                                bool materialize_table) {
@@ -718,7 +719,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex& index,
     // ladder: a fault here propagates to the caller.
     const BatchPlan& plan = local_report.plan;
     const gpu::GridDeviceIndex& dev_index = *slots.front().dev_index;
-    const GridView first_view = dev_index.view();
+    const GridView<Point2> first_view = dev_index.view();
     gpu::ResultSetDevice result_sink(first_device, plan.buffer_pairs);
     // The kernel tests each pair once but push_dual's both directions
     // device-side (the result set never crosses PCIe per-batch in this

@@ -140,7 +140,7 @@ class NeighborTableBuilder {
   /// Builds T for `index` (which fixes the point ordering) and `eps`.
   /// Thread-safe for concurrent calls with distinct indexes (each call
   /// creates its own streams and buffers).
-  NeighborTable build(const GridIndex& index, float eps,
+  NeighborTable build(const GridIndex<Point2>& index, float eps,
                       BuildReport* report = nullptr) {
     return build(index, eps, report, /*sink=*/nullptr,
                  /*materialize_table=*/true);
@@ -153,7 +153,8 @@ class NeighborTableBuilder {
   /// the shard appends, final merge and half-table expansion are all
   /// skipped and the returned table is empty — labels-only callers save
   /// the transpose and the host table memory entirely.
-  NeighborTable build(const GridIndex& index, float eps, BuildReport* report,
+  NeighborTable build(const GridIndex<Point2>& index, float eps,
+                      BuildReport* report,
                       BatchSink* sink, bool materialize_table);
 
   [[nodiscard]] const BatchPolicy& policy() const noexcept { return policy_; }
@@ -164,7 +165,7 @@ class NeighborTableBuilder {
  private:
   /// The actual build; the public build() wraps it to stamp
   /// report->failure with the classified cause when it throws.
-  NeighborTable build_impl(const GridIndex& index, float eps,
+  NeighborTable build_impl(const GridIndex<Point2>& index, float eps,
                            BuildReport* report, BatchSink* sink,
                            bool materialize_table);
 

@@ -182,7 +182,7 @@ PipelineReport run_multi_clustering(cudasim::Device& device,
           // The device died on an earlier variant: finish the sweep
           // host-side rather than failing every remaining variant.
           WallTimer t;
-          GridIndex index = build_grid_index(points, variants[i].eps);
+          GridIndex<Point2> index = build_grid_index(points, variants[i].eps);
           NeighborTable table = build_neighbor_table_host_parallel(
               index, variants[i].eps, /*num_threads=*/0);
           const double table_s = t.seconds();
@@ -260,7 +260,7 @@ PipelineReport run_multi_clustering(cudasim::Device& device,
                    static_cast<double>(variants[i].eps));
         WallTimer t;
         WallTimer index_timer;
-        GridIndex index = build_grid_index(points, variants[i].eps);
+        GridIndex<Point2> index = build_grid_index(points, variants[i].eps);
         const double index_s = index_timer.seconds();
         TableItem item;
         item.variant_index = i;
@@ -408,7 +408,7 @@ PipelineReport run_multi_clustering(
                           bool& host) -> TableItem {
     WallTimer t;
     WallTimer index_timer;
-    GridIndex index = build_grid_index(points, variants[i].eps);
+    GridIndex<Point2> index = build_grid_index(points, variants[i].eps);
     const double index_s = index_timer.seconds();
     TableItem item;
     item.variant_index = i;

@@ -42,7 +42,7 @@ ReuseReport cluster_minpts_sweep(cudasim::Device& device,
              static_cast<double>(eps), minpts_values.size());
   WallTimer table_timer;
   WallTimer index_timer;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const double index_s = index_timer.seconds();
   NeighborTableBuilder builder(device, policy);
   BuildReport build_report;

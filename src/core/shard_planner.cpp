@@ -17,8 +17,8 @@ struct RowSpan {
   std::uint32_t end;
 };
 
-RowSpan row_span(const GridIndex& index, std::uint32_t r) {
-  const std::uint32_t cx = index.params.cells_x;
+RowSpan row_span(const GridIndex<Point2>& index, std::uint32_t r) {
+  const std::uint32_t cx = index.params.shape[0];
   return {index.cells[static_cast<std::size_t>(r) * cx].begin,
           index.cells[static_cast<std::size_t>(r + 1) * cx - 1].end};
 }
@@ -29,12 +29,12 @@ RowSpan row_span(const GridIndex& index, std::uint32_t r) {
 /// exactly one owner). `row_of` maps global id -> cell row (shared,
 /// read-only); `g2l` is caller-provided scratch of full-index size,
 /// written for each resident before any read — no reset needed.
-void assemble_shard(const GridIndex& index, GridShard& shard,
+void assemble_shard(const GridIndex<Point2>& index, GridShard& shard,
                     const std::vector<std::uint32_t>& row_of,
                     std::vector<std::uint32_t>& owner_of,
                     std::vector<PointId>& g2l) {
-  const std::uint32_t cx = index.params.cells_x;
-  const std::uint32_t cy = index.params.cells_y;
+  const std::uint32_t cx = index.params.shape[0];
+  const std::uint32_t cy = index.params.shape[1];
   const std::uint32_t rb = shard.row_begin;
   const std::uint32_t re = shard.row_end;
   const std::uint32_t n = static_cast<std::uint32_t>(index.size());
@@ -83,7 +83,7 @@ void assemble_shard(const GridIndex& index, GridShard& shard,
     g2l[shard.to_global[l]] = static_cast<PointId>(l);
   }
 
-  GridIndex& sub = shard.index;
+  GridIndex<Point2>& sub = shard.index;
   sub.params = index.params;  // global geometry, by design
   sub.cell_base = slab_lo * cx;
   sub.num_query = shard.num_owned;
@@ -126,13 +126,13 @@ void assemble_shard(const GridIndex& index, GridShard& shard,
 
 }  // namespace
 
-ShardPlan plan_shards(const GridIndex& index, unsigned num_shards,
+ShardPlan plan_shards(const GridIndex<Point2>& index, unsigned num_shards,
                       unsigned num_threads) {
-  return plan_shards(index, num_shards, 0, index.params.cells_y,
+  return plan_shards(index, num_shards, 0, index.params.shape[1],
                      num_threads);
 }
 
-ShardPlan plan_shards(const GridIndex& index, unsigned num_shards,
+ShardPlan plan_shards(const GridIndex<Point2>& index, unsigned num_shards,
                       std::uint32_t row_begin, std::uint32_t row_end,
                       unsigned num_threads) {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -142,11 +142,11 @@ ShardPlan plan_shards(const GridIndex& index, unsigned num_shards,
     throw std::invalid_argument(
         "plan_shards: expected the full (global) index, not a shard");
   }
-  if (row_begin >= row_end || row_end > index.params.cells_y) {
+  if (row_begin >= row_end || row_end > index.params.shape[1]) {
     throw std::invalid_argument("plan_shards: bad row range");
   }
-  const std::uint32_t cx = index.params.cells_x;
-  const std::uint32_t cy = index.params.cells_y;
+  const std::uint32_t cx = index.params.shape[0];
+  const std::uint32_t cy = index.params.shape[1];
   const std::uint32_t rows = row_end - row_begin;
   const std::uint32_t k =
       std::max(1u, std::min<std::uint32_t>(num_shards, rows));

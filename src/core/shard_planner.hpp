@@ -47,7 +47,7 @@ struct GridShard {
   /// Slab sub-index: global params, cells/lookup for owned rows +/- 1
   /// halo, owned-first points. Empty (size() == 0) when the slab owns no
   /// points — such shards have nothing to build and are skipped.
-  GridIndex index;
+  GridIndex<Point2> index;
   /// Local id -> global id (into the full index's point order); size is
   /// the resident count (owned + ghosts).
   std::vector<PointId> to_global;
@@ -96,11 +96,11 @@ struct ShardPlan {
 /// independent per shard and runs on up to `num_threads` workers
 /// (0 = hardware concurrency); the result is bit-identical to serial
 /// assembly and ShardPlan::critical_seconds charges the slowest worker.
-ShardPlan plan_shards(const GridIndex& index, unsigned num_shards,
+ShardPlan plan_shards(const GridIndex<Point2>& index, unsigned num_shards,
                       std::uint32_t row_begin, std::uint32_t row_end,
                       unsigned num_threads = 0);
 
-ShardPlan plan_shards(const GridIndex& index, unsigned num_shards,
+ShardPlan plan_shards(const GridIndex<Point2>& index, unsigned num_shards,
                       unsigned num_threads = 0);
 
 }  // namespace hdbscan

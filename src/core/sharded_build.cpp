@@ -241,7 +241,8 @@ struct ShardOutcome {
 };
 
 NeighborTable build_sharded_impl(
-    const std::vector<cudasim::Device*>& devices, const GridIndex& index,
+    const std::vector<cudasim::Device*>& devices,
+    const GridIndex<Point2>& index,
     float eps, const ShardedBuildOptions& options, BuildReport* report,
     BatchSink* sink, bool materialize_table) {
   if (devices.empty()) {
@@ -304,7 +305,7 @@ NeighborTable build_sharded_impl(
   // this map nor the tallies that use it sit on the modeled clock.
   std::vector<std::uint32_t> row_of(index.size());
   for (std::size_t i = 0; i < index.size(); ++i) {
-    row_of[i] = index.params.cell_y_of(index.points[i].y);
+    row_of[i] = index.params.axis_cell(index.points[i].y, 1);
   }
 
   NeighborTable table(index.size());
@@ -572,7 +573,8 @@ NeighborTable build_sharded_impl(
 }  // namespace
 
 NeighborTable build_sharded_neighbor_table(
-    const std::vector<cudasim::Device*>& devices, const GridIndex& index,
+    const std::vector<cudasim::Device*>& devices,
+    const GridIndex<Point2>& index,
     float eps, const ShardedBuildOptions& options, BuildReport* report,
     BatchSink* sink, bool materialize_table) {
   try {

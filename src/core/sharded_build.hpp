@@ -73,7 +73,8 @@ struct ShardedBuildOptions {
 /// NeighborTableBuilder::build. Throws cudasim::DeviceLost when every
 /// device dies and host fallback is off; propagates other hard errors.
 NeighborTable build_sharded_neighbor_table(
-    const std::vector<cudasim::Device*>& devices, const GridIndex& index,
+    const std::vector<cudasim::Device*>& devices,
+    const GridIndex<Point2>& index,
     float eps, const ShardedBuildOptions& options,
     BuildReport* report = nullptr, BatchSink* sink = nullptr,
     bool materialize_table = true);

@@ -22,7 +22,7 @@ constexpr unsigned kBlock = 256;
 /// Shared scan logic of the two join kernels: visit all candidates of a
 /// query point and invoke `emit(candidate)` for matches.
 template <typename Emit>
-void scan_query(cudasim::ThreadCtx& ctx, const GridView& view,
+void scan_query(cudasim::ThreadCtx& ctx, const GridView<Point2>& view,
                 const Point2& query, float eps2, Emit&& emit) {
   std::array<std::uint32_t, 9> cells{};
   const unsigned n = get_neighbor_cells(
@@ -43,7 +43,7 @@ void scan_query(cudasim::ThreadCtx& ctx, const GridView& view,
 }
 
 struct CountJoinKernel {
-  GridView view;
+  GridView<Point2> view;
   const Point2* queries;
   std::uint32_t num_queries;
   float eps2;
@@ -62,7 +62,7 @@ struct CountJoinKernel {
 };
 
 struct FillJoinKernel {
-  GridView view;
+  GridView<Point2> view;
   const Point2* queries;
   std::uint32_t num_queries;
   float eps2;
@@ -87,7 +87,7 @@ struct FillJoinKernel {
 
 JoinResult similarity_join(cudasim::Device& device,
                            std::span<const Point2> queries,
-                           const GridIndex& index, float eps) {
+                           const GridIndex<Point2>& index, float eps) {
   if (eps > index.params.eps + 1e-6f) {
     throw std::invalid_argument(
         "similarity_join: eps exceeds the index cell width");
@@ -100,7 +100,7 @@ JoinResult similarity_join(cudasim::Device& device,
   cudasim::DeviceBuffer<Point2> device_queries(device, queries.size());
   stream.memcpy_to_device(device_queries, queries.data(), queries.size());
   stream.synchronize();
-  const GridView view = device_index.view();
+  const GridView<Point2> view = device_index.view();
   const auto nq = static_cast<std::uint32_t>(queries.size());
   const unsigned grid_dim = (nq + kBlock - 1) / kBlock;
   const float eps2 = eps * eps;
@@ -135,11 +135,11 @@ JoinResult similarity_join(cudasim::Device& device,
   return result;
 }
 
-std::vector<KnnNeighbor> knn_search(const GridIndex& index,
+std::vector<KnnNeighbor> knn_search(const GridIndex<Point2>& index,
                                     const Point2& query, unsigned k) {
   std::vector<KnnNeighbor> result;
   if (k == 0) return result;
-  const GridParams& params = index.params;
+  const GridParams<Point2>& params = index.params;
   const float w = params.eps;  // cell width
 
   // Max-heap of the best k seen so far (top = current worst).
@@ -149,10 +149,10 @@ std::vector<KnnNeighbor> knn_search(const GridIndex& index,
   std::priority_queue<KnnNeighbor, std::vector<KnnNeighbor>, decltype(worse)>
       best(worse);
 
-  const std::int64_t qx = params.cell_x_of(query.x);
-  const std::int64_t qy = params.cell_y_of(query.y);
+  const std::int64_t qx = params.axis_cell(query.x, 0);
+  const std::int64_t qy = params.axis_cell(query.y, 1);
   const std::int64_t max_ring =
-      std::max<std::int64_t>(params.cells_x, params.cells_y);
+      std::max<std::int64_t>(params.shape[0], params.shape[1]);
 
   for (std::int64_t ring = 0; ring <= max_ring; ++ring) {
     // Early exit: every cell at Chebyshev ring r is at least (r-1) cell
@@ -163,18 +163,18 @@ std::vector<KnnNeighbor> knn_search(const GridIndex& index,
     }
     for (std::int64_t dy = -ring; dy <= ring; ++dy) {
       const std::int64_t cy = qy + dy;
-      if (cy < 0 || cy >= static_cast<std::int64_t>(params.cells_y)) continue;
+      if (cy < 0 || cy >= static_cast<std::int64_t>(params.shape[1])) continue;
       const bool edge_row = (dy == -ring || dy == ring);
       const std::int64_t step = edge_row ? 1 : 2 * ring;
       for (std::int64_t dx = -ring; dx <= ring;
            dx += (step == 0 ? 1 : step)) {
         const std::int64_t cx = qx + dx;
-        if (cx < 0 || cx >= static_cast<std::int64_t>(params.cells_x)) {
+        if (cx < 0 || cx >= static_cast<std::int64_t>(params.shape[0])) {
           if (step == 0) break;
           continue;
         }
         const CellRange range =
-            index.cells[static_cast<std::size_t>(cy) * params.cells_x +
+            index.cells[static_cast<std::size_t>(cy) * params.shape[0] +
                         static_cast<std::size_t>(cx)];
         for (std::uint32_t a = range.begin; a < range.end; ++a) {
           const PointId id = index.lookup[a];

@@ -32,7 +32,7 @@ struct JoinResult {
 /// cell width >= eps.
 JoinResult similarity_join(cudasim::Device& device,
                            std::span<const Point2> queries,
-                           const GridIndex& index, float eps);
+                           const GridIndex<Point2>& index, float eps);
 
 struct KnnNeighbor {
   PointId id = 0;       ///< id in the index's internal order
@@ -41,7 +41,7 @@ struct KnnNeighbor {
 
 /// k nearest neighbors of `query` among the indexed points, in ascending
 /// distance order (fewer than k when the dataset is smaller).
-std::vector<KnnNeighbor> knn_search(const GridIndex& index,
+std::vector<KnnNeighbor> knn_search(const GridIndex<Point2>& index,
                                     const Point2& query, unsigned k);
 
 }  // namespace hdbscan

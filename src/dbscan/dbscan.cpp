@@ -79,7 +79,8 @@ ClusterResult dbscan_rtree(std::span<const Point2> points, float eps,
   return dbscan_rtree(points, eps, minpts, rtree, search_time);
 }
 
-ClusterResult dbscan_grid(const GridIndex& index, float eps, int minpts) {
+ClusterResult dbscan_grid(const GridIndex<Point2>& index, float eps,
+                          int minpts) {
   return dbscan_impl(index.size(), minpts,
                      [&](PointId p, std::vector<PointId>& out) {
                        grid_query(index, index.points[p], eps, out);

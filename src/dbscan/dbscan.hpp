@@ -35,7 +35,8 @@ ClusterResult dbscan_rtree(std::span<const Point2> points, float eps,
 
 /// Sequential DBSCAN over the grid index. Labels follow the *index's*
 /// point order (index.points); use index.original_ids to map back.
-ClusterResult dbscan_grid(const GridIndex& index, float eps, int minpts);
+ClusterResult dbscan_grid(const GridIndex<Point2>& index, float eps,
+                          int minpts);
 
 /// Modified DBSCAN taking the precomputed neighbor table T and minpts.
 /// Labels follow the point ordering T was built from.

@@ -353,7 +353,7 @@ void NeighborTable::canonicalize() {
   values_ = std::move(new_values);
 }
 
-NeighborTable build_neighbor_table_host_strided(const GridIndex& index,
+NeighborTable build_neighbor_table_host_strided(const GridIndex<Point2>& index,
                                                 float eps,
                                                 std::uint32_t first_key,
                                                 std::uint32_t key_stride) {
@@ -381,7 +381,7 @@ NeighborTable build_neighbor_table_host_strided(const GridIndex& index,
 }
 
 NeighborTable build_neighbor_table_host_strided_idrule(
-    const GridIndex& index, const RTree& rtree, float eps,
+    const GridIndex<Point2>& index, const RTree& rtree, float eps,
     std::uint32_t first_key, std::uint32_t key_stride) {
   if (key_stride == 0) {
     throw std::invalid_argument(
@@ -415,7 +415,7 @@ NeighborTable build_neighbor_table_host_strided_idrule(
   return shard;
 }
 
-NeighborTable build_neighbor_table_host_parallel(const GridIndex& index,
+NeighborTable build_neighbor_table_host_parallel(const GridIndex<Point2>& index,
                                                  float eps,
                                                  unsigned num_threads) {
   if (num_threads == 0) {
@@ -453,7 +453,9 @@ NeighborTable build_neighbor_table_host_parallel(const GridIndex& index,
   return table;
 }
 
-NeighborTable build_neighbor_table_host(const GridIndex& index, float eps) {
+template <typename Point>
+NeighborTable build_neighbor_table_host(const GridIndex<Point>& index,
+                                        float eps) {
   NeighborTable table(index.size());
   std::vector<PointId> neighbors;
   std::vector<NeighborPair> pairs;
@@ -468,5 +470,10 @@ NeighborTable build_neighbor_table_host(const GridIndex& index, float eps) {
   }
   return table;
 }
+
+template NeighborTable build_neighbor_table_host(const GridIndex<Point2>&,
+                                                 float);
+template NeighborTable build_neighbor_table_host(const GridIndex<Point3>&,
+                                                 float);
 
 }  // namespace hdbscan

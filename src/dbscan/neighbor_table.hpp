@@ -159,13 +159,16 @@ class NeighborTable {
 
 /// CPU-only construction of T straight from a grid index — the host
 /// fallback the paper mentions ("a CPU-only implementation could also
-/// compute and reuse T") and the oracle for kernel tests.
-NeighborTable build_neighbor_table_host(const GridIndex& index, float eps);
+/// compute and reuse T") and the oracle for kernel tests, for 2-D and 3-D
+/// indexes.
+template <typename Point>
+NeighborTable build_neighbor_table_host(const GridIndex<Point>& index,
+                                        float eps);
 
 /// Multithreaded host construction of T: point ranges are searched in
 /// parallel and appended as per-range batches. Produces exactly the same
 /// table as the sequential builder. `num_threads` 0 = hardware concurrency.
-NeighborTable build_neighbor_table_host_parallel(const GridIndex& index,
+NeighborTable build_neighbor_table_host_parallel(const GridIndex<Point2>& index,
                                                  float eps,
                                                  unsigned num_threads = 0);
 
@@ -177,7 +180,7 @@ NeighborTable build_neighbor_table_host_parallel(const GridIndex& index,
 /// GPU-completed work. The shard is absorb_shard()-compatible and holds
 /// *forward* rows (grid_query_forward), so it composes with device-built
 /// shards; the builder expands the merged table once at the end.
-NeighborTable build_neighbor_table_host_strided(const GridIndex& index,
+NeighborTable build_neighbor_table_host_strided(const GridIndex<Point2>& index,
                                                 float eps,
                                                 std::uint32_t first_key,
                                                 std::uint32_t key_stride);
@@ -192,7 +195,7 @@ NeighborTable build_neighbor_table_host_strided(const GridIndex& index,
 /// host index, built over the same reordered point array as `index`, so
 /// ids agree).
 NeighborTable build_neighbor_table_host_strided_idrule(
-    const GridIndex& index, const RTree& rtree, float eps,
+    const GridIndex<Point2>& index, const RTree& rtree, float eps,
     std::uint32_t first_key, std::uint32_t key_stride);
 
 }  // namespace hdbscan

@@ -15,7 +15,7 @@ class GridDeviceIndex {
   /// Allocates device buffers and enqueues the H2D uploads on `stream`
   /// (pageable host memory — the index is uploaded once per epsilon).
   GridDeviceIndex(cudasim::Device& device, cudasim::Stream& stream,
-                  const GridIndex& host_index)
+                  const GridIndex<Point2>& host_index)
       : params_(host_index.params),
         num_points_(static_cast<std::uint32_t>(host_index.points.size())),
         cell_base_(host_index.cell_base),
@@ -45,8 +45,8 @@ class GridDeviceIndex {
     }
   }
 
-  [[nodiscard]] GridView view() const noexcept {
-    return GridView{params_,
+  [[nodiscard]] GridView<Point2> view() const noexcept {
+    return GridView<Point2>{params_,
                     points_.device_data(),
                     num_points_,
                     cells_.device_data(),
@@ -73,7 +73,7 @@ class GridDeviceIndex {
   }
 
  private:
-  GridParams params_;
+  GridParams<Point2> params_;
   std::uint32_t num_points_;
   std::uint32_t cell_base_;
   std::uint32_t num_query_;

@@ -23,7 +23,7 @@ constexpr unsigned kBlock = 256;
 
 /// Kernel 1: core identification (thread per point).
 struct CoreKernel {
-  GridView view;
+  GridView<Point2> view;
   float eps2;
   std::uint32_t required;
   std::uint8_t* core;
@@ -70,7 +70,7 @@ struct SeedKernel {
 /// pointer-jumping shortcut (labels are point ids, so label chasing
 /// compresses chains — Shiloach-Vishkin style).
 struct PropagateKernel {
-  GridView view;
+  GridView<Point2> view;
   float eps2;
   const std::uint8_t* core;
   std::uint32_t* labels;
@@ -116,7 +116,7 @@ struct PropagateKernel {
 
 /// Kernel 4: border assignment (smallest core neighbor's label).
 struct BorderKernel {
-  GridView view;
+  GridView<Point2> view;
   float eps2;
   const std::uint8_t* core;
   std::uint32_t* labels;
@@ -149,7 +149,8 @@ struct BorderKernel {
 
 }  // namespace
 
-ClusterResult gpu_dbscan(cudasim::Device& device, const GridIndex& index,
+ClusterResult gpu_dbscan(cudasim::Device& device,
+                         const GridIndex<Point2>& index,
                          float eps, int minpts, GpuDbscanReport* report) {
   hdbscan::WallTimer wall;
   GpuDbscanReport local;
@@ -157,7 +158,7 @@ ClusterResult gpu_dbscan(cudasim::Device& device, const GridIndex& index,
   cudasim::Stream stream(device);
   GridDeviceIndex device_index(device, stream, index);
   stream.synchronize();
-  const GridView view = device_index.view();
+  const GridView<Point2> view = device_index.view();
   const std::uint32_t n = view.num_points;
   const unsigned grid_dim = (n + kBlock - 1) / kBlock;
   const float eps2 = eps * eps;

@@ -39,7 +39,8 @@ struct GpuDbscanReport {
 /// the *index's* point order (like dbscan_grid); map through
 /// index.original_ids for input order. Valid DBSCAN result: exact on cores
 /// and noise, borders follow the deterministic smallest-label rule.
-ClusterResult gpu_dbscan(cudasim::Device& device, const GridIndex& index,
+ClusterResult gpu_dbscan(cudasim::Device& device,
+                         const GridIndex<Point2>& index,
                          float eps, int minpts,
                          GpuDbscanReport* report = nullptr);
 

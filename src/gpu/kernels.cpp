@@ -4,16 +4,15 @@
 #include <array>
 #include <atomic>
 #include <span>
-#include <type_traits>
 
 namespace hdbscan::gpu {
 
 namespace {
 
-/// Candidate traversal shared by the per-point kernel bodies. Calls
-/// `emit(candidate)` for every candidate within eps of `point`, charging
-/// the per-candidate reads (lookup id 4 B + point 8 B) and the 6-op
-/// squared-distance test.
+/// Grid traversal shared by the per-point kernel bodies, for 2-D and 3-D
+/// points. Calls `emit(candidate)` for every candidate within eps of
+/// `point`, charging the per-candidate reads (lookup id 4 B + the point)
+/// and the 3-per-axis squared-distance test.
 ///
 /// Each pair is tested exactly once: the own cell contributes only the
 /// suffix of candidates at/after the query's own lookup position (found by
@@ -21,15 +20,16 @@ namespace {
 /// candidate-id reads), and only the forward half of the stencil is
 /// visited. Emissions are therefore forward rows only; symmetry is
 /// restored downstream (NeighborTable::expand_half_table).
-template <typename Emit>
-void for_each_neighbor(const GridView& view, PointId pid,
-                       const Point2& point, float eps2,
+template <typename Point, typename Emit>
+void for_each_neighbor(const GridView<Point>& view, PointId pid,
+                       const Point& point, float eps2,
                        cudasim::ThreadCtx& ctx, Emit&& emit) {
   auto scan_range = [&](std::uint32_t begin, std::uint32_t end) {
     const std::uint32_t candidates = end - begin;
     ctx.count_global_bytes(static_cast<std::uint64_t>(candidates) *
-                           (sizeof(PointId) + sizeof(Point2)));
-    ctx.count_flops(static_cast<std::uint64_t>(candidates) * 6);
+                           (sizeof(PointId) + sizeof(Point)));
+    ctx.count_flops(static_cast<std::uint64_t>(candidates) *
+                    PointTraits<Point>::kFlopsPerTest);
     for (std::uint32_t a = begin; a < end; ++a) {
       const PointId candidate = view.lookup[a];
       if (dist2(point, view.points[candidate]) <= eps2) emit(candidate);
@@ -51,7 +51,7 @@ void for_each_neighbor(const GridView& view, PointId pid,
   ctx.count_global_bytes(static_cast<std::uint64_t>(probes) *
                          sizeof(PointId));
   scan_range(static_cast<std::uint32_t>(lo - view.lookup), own.end);
-  std::array<std::uint32_t, 9> cell_ids{};
+  StencilCells<Point> cell_ids{};
   const unsigned ncells =
       get_forward_neighbor_cells(view.params, cell, cell_ids);
   for (unsigned c = 0; c < ncells; ++c) {
@@ -61,7 +61,7 @@ void for_each_neighbor(const GridView& view, PointId pid,
   }
 }
 
-/// BVH counterpart of for_each_neighbor: explicit-stack traversal over the
+/// BVH overload of for_each_neighbor: explicit-stack traversal over the
 /// packed node array. Every visited node costs one node read and the
 /// min_dist2 prune (~8 ops); accepted leaves charge like a shared-kernel
 /// tile — candidate ids are read for the whole leaf (the id-ownership
@@ -69,9 +69,8 @@ void for_each_neighbor(const GridView& view, PointId pid,
 /// ones. Subtrees whose max_id < pid hold nothing row pid owns and are
 /// pruned before their MBR is even tested.
 template <typename Emit>
-void for_each_neighbor_bvh(const BvhView& view, PointId pid,
-                           const Point2& point, float eps2,
-                           cudasim::ThreadCtx& ctx, Emit&& emit) {
+void for_each_neighbor(const BvhView& view, PointId pid, const Point2& point,
+                       float eps2, cudasim::ThreadCtx& ctx, Emit&& emit) {
   std::uint32_t stack[160];
   unsigned depth = 0;
   stack[depth++] = view.root;
@@ -92,7 +91,7 @@ void for_each_neighbor_bvh(const BvhView& view, PointId pid,
       ctx.count_global_bytes(
           static_cast<std::uint64_t>(node.count) * sizeof(PointId) +
           tested * sizeof(Point2));
-      ctx.count_flops(tested * 6);
+      ctx.count_flops(tested * PointTraits<Point2>::kFlopsPerTest);
     } else {
       for (std::uint32_t c = node.first; c < node.first + node.count; ++c) {
         stack[depth++] = c;
@@ -103,10 +102,27 @@ void for_each_neighbor_bvh(const BvhView& view, PointId pid,
   ctx.count_flops(nodes_read * 8);
 }
 
+/// The id a kernel writes for candidate `c`. Grid views pass it through
+/// their value-emission map (identity on the full index; local->global on
+/// shard slabs, one extra 4 B read per emitted pair, which buys the merge
+/// freedom from ever touching individual pairs). BVH-backed builds are
+/// whole-index only (sharded slabs keep the grid backend), so the BVH
+/// emits resident ids.
+template <typename Point>
+PointId emitted(const GridView<Point>& view, PointId c,
+                cudasim::ThreadCtx& ctx) {
+  if (view.emit_ids == nullptr) return c;
+  ctx.count_global_bytes(sizeof(PointId));
+  return view.emit_ids[c];
+}
+
+PointId emitted(const BvhView&, PointId c, cudasim::ThreadCtx&) { return c; }
+
 /// Per-thread body of GPUCalcGlobal (paper Alg. 2, with the batching
 /// transformation of §VI: the processed point is gid * n_b + l).
+template <typename Point>
 struct GlobalKernelBody {
-  GridView view;
+  GridView<Point> view;
   float eps2;
   BatchSpec batch;
   ResultSinkView sink;
@@ -118,27 +134,19 @@ struct GlobalKernelBody {
     if (i >= view.query_count()) return;
 
     const auto pid = static_cast<PointId>(i);
-    const Point2 point = view.points[i];
-    ctx.count_global_bytes(sizeof(Point2));
+    const Point point = view.points[i];
+    ctx.count_global_bytes(sizeof(Point));
 
     StagedSink staged(sink);
-    // Values go out through the emission map (identity on the full index;
-    // local->global on shard slabs): one extra 4 B read per emitted pair,
-    // which buys the merge freedom from ever touching individual pairs.
-    for_each_neighbor(view, pid, point, eps2, ctx,
-                      [&](PointId candidate) {
-                        if (view.emit_ids != nullptr) {
-                          ctx.count_global_bytes(sizeof(PointId));
-                        }
-                        staged.push(NeighborPair{pid, view.emit(candidate)},
-                                    ctx);
-                      });
+    for_each_neighbor(view, pid, point, eps2, ctx, [&](PointId candidate) {
+      staged.push(NeighborPair{pid, emitted(view, candidate, ctx)}, ctx);
+    });
     staged.flush(ctx);
   }
 };
 
 struct SharedKernelParams {
-  GridView view;
+  GridView<Point2> view;
   const std::uint32_t* schedule;
   float eps2;
   ResultSinkView sink;
@@ -187,7 +195,7 @@ cudasim::KernelTask shared_kernel_thread(cudasim::CoopCtx& ctx,
   // block and emitted in both directions on the spot (push_dual), so this
   // kernel's output is the full table with no host-side expansion step.
   if (tid == 0) {
-    std::array<std::uint32_t, 9> tmp{};
+    StencilCells<Point2> tmp{};
     unsigned n = 0;
     cell_ids[n++] = cell_to_proc;
     const unsigned fwd =
@@ -277,9 +285,11 @@ cudasim::KernelTask shared_kernel_thread(cudasim::CoopCtx& ctx,
 /// Pass 1 of the two-pass CSR builder: thread g counts the neighbors of
 /// its batch point and writes counts[g]. No atomics, no result
 /// materialization — an exclusive scan of `counts` then yields the exact
-/// CSR slot offsets for the fill pass.
+/// CSR slot offsets for the fill pass. `View` is a grid view (2-D or 3-D)
+/// or the BVH.
+template <typename View>
 struct CountBatchKernelBody {
-  GridView view;
+  View view;
   float eps2;
   BatchSpec batch;
   std::uint32_t* counts;
@@ -289,8 +299,8 @@ struct CountBatchKernelBody {
     const std::uint64_t i = gid * batch.num_batches + batch.batch;
     if (i >= view.query_count()) return;
     const auto pid = static_cast<PointId>(i);
-    const Point2 point = view.points[i];
-    ctx.count_global_bytes(sizeof(Point2));
+    const auto point = view.points[i];
+    ctx.count_global_bytes(sizeof(point));
     std::uint32_t neighbors = 0;
     // The counts are *forward-row* lengths — no atomics on other rows;
     // the host transpose restores the back rows after the merge.
@@ -306,8 +316,9 @@ struct CountBatchKernelBody {
 /// [offsets[g], offsets[g] + counts[g]). The offsets are exact, so the
 /// pass needs no atomics, no sort, and ships bare PointId values (half the
 /// bytes of a NeighborPair) over PCIe.
+template <typename View>
 struct FillCsrKernelBody {
-  GridView view;
+  View view;
   float eps2;
   BatchSpec batch;
   const std::uint32_t* offsets;
@@ -318,66 +329,13 @@ struct FillCsrKernelBody {
     const std::uint64_t i = gid * batch.num_batches + batch.batch;
     if (i >= view.query_count()) return;
     const auto pid = static_cast<PointId>(i);
-    const Point2 point = view.points[i];
-    ctx.count_global_bytes(sizeof(Point2) + sizeof(std::uint32_t));
+    const auto point = view.points[i];
+    ctx.count_global_bytes(sizeof(point) + sizeof(std::uint32_t));
     PointId* out = values + offsets[gid];
-    // Emission-mapped values (see GlobalKernelBody): the CSR slots receive
-    // globally addressed neighbor ids on shard slabs.
-    for_each_neighbor(view, pid, point, eps2, ctx,
-                      [&](PointId candidate) {
-                        *out++ = view.emit(candidate);
-                        ctx.count_global_bytes(
-                            view.emit_ids != nullptr ? 2 * sizeof(PointId)
-                                                     : sizeof(PointId));
-                      });
-  }
-};
-
-/// BVH pass 1: like CountBatchKernelBody but over the tree traversal. No
-/// emission map — BVH-backed builds are whole-index only (sharded slabs
-/// keep the grid backend), so resident ids are already global.
-struct BvhCountBatchKernelBody {
-  BvhView view;
-  float eps2;
-  BatchSpec batch;
-  std::uint32_t* counts;
-
-  void operator()(cudasim::ThreadCtx& ctx) const {
-    const std::uint64_t gid = ctx.global_id();
-    const std::uint64_t i = gid * batch.num_batches + batch.batch;
-    if (i >= view.query_count()) return;
-    const auto pid = static_cast<PointId>(i);
-    const Point2 point = view.points[i];
-    ctx.count_global_bytes(sizeof(Point2));
-    std::uint32_t neighbors = 0;
-    for_each_neighbor_bvh(view, pid, point, eps2, ctx,
-                          [&](PointId) { ++neighbors; });
-    counts[gid] = neighbors;
-    ctx.count_global_bytes(sizeof(std::uint32_t));
-  }
-};
-
-/// BVH pass 2: fills the pre-sized CSR slots, mirroring FillCsrKernelBody.
-struct BvhFillCsrKernelBody {
-  BvhView view;
-  float eps2;
-  BatchSpec batch;
-  const std::uint32_t* offsets;
-  PointId* values;
-
-  void operator()(cudasim::ThreadCtx& ctx) const {
-    const std::uint64_t gid = ctx.global_id();
-    const std::uint64_t i = gid * batch.num_batches + batch.batch;
-    if (i >= view.query_count()) return;
-    const auto pid = static_cast<PointId>(i);
-    const Point2 point = view.points[i];
-    ctx.count_global_bytes(sizeof(Point2) + sizeof(std::uint32_t));
-    PointId* out = values + offsets[gid];
-    for_each_neighbor_bvh(view, pid, point, eps2, ctx,
-                          [&](PointId candidate) {
-                            *out++ = candidate;
-                            ctx.count_global_bytes(sizeof(PointId));
-                          });
+    for_each_neighbor(view, pid, point, eps2, ctx, [&](PointId candidate) {
+      *out++ = emitted(view, candidate, ctx);
+      ctx.count_global_bytes(sizeof(PointId));
+    });
   }
 };
 
@@ -385,8 +343,9 @@ struct BvhFillCsrKernelBody {
 /// StreamingDbscan::ingest_fused when full and at thread end).
 constexpr unsigned kFusedSpill = 256;
 
-/// Per-thread body of the fused no-table clustering kernel, shared by both
-/// backends (`traverse` dispatches to the grid stencil or the BVH stack).
+/// Per-thread body of the fused no-table clustering kernel, shared by the
+/// 2-D and 3-D grids and the BVH (for_each_neighbor overloads dispatch to
+/// the grid stencil or the BVH stack).
 ///
 /// Degree handling: the thread's own contributions (self pair + every
 /// candidate it tests) accumulate in a register and land as ONE fetch_add
@@ -407,22 +366,13 @@ struct FusedKernelBody {
   StreamingDbscan::FusedView fu;
   StreamingDbscan* sink;
 
-  void traverse(PointId pid, const Point2& point, cudasim::ThreadCtx& ctx,
-                auto&& emit) const {
-    if constexpr (std::is_same_v<View, GridView>) {
-      for_each_neighbor(view, pid, point, eps2, ctx, emit);
-    } else {
-      for_each_neighbor_bvh(view, pid, point, eps2, ctx, emit);
-    }
-  }
-
   void operator()(cudasim::ThreadCtx& ctx) const {
     const std::uint64_t gid = ctx.global_id();
     const std::uint64_t i = gid * batch.num_batches + batch.batch;
     if (i >= view.query_count()) return;
     const auto pid = static_cast<PointId>(i);
-    const Point2 point = view.points[i];
-    ctx.count_global_bytes(sizeof(Point2));
+    const auto point = view.points[i];
+    ctx.count_global_bytes(sizeof(point));
 
     NeighborPair local[kFusedSpill];
     unsigned nlocal = 0;
@@ -430,7 +380,7 @@ struct FusedKernelBody {
     std::uint64_t seen = 0;
     std::uint64_t streamed = 0;
 
-    traverse(pid, point, ctx, [&](PointId cand) {
+    for_each_neighbor(view, pid, point, eps2, ctx, [&](PointId cand) {
       ++own_degree;  // self pair included: degree counts the point itself
       if (cand == pid) return;
       // Forward traversals see each cross pair once; the partner's degree
@@ -473,9 +423,11 @@ struct FusedKernelBody {
 };
 
 /// Per-thread body of the estimation kernel: thread t counts the neighbors
-/// of sample point t * stride and contributes one atomic add.
+/// of sample point t * stride over the full stencil and contributes one
+/// atomic add.
+template <typename Point>
 struct CountKernelBody {
-  GridView view;
+  GridView<Point> view;
   float eps2;
   std::uint32_t stride;
   std::atomic<std::uint64_t>* total;
@@ -484,10 +436,10 @@ struct CountKernelBody {
     const std::uint64_t i =
         static_cast<std::uint64_t>(ctx.global_id()) * stride;
     if (i >= view.query_count()) return;
-    const Point2 point = view.points[i];
-    ctx.count_global_bytes(sizeof(Point2));
+    const Point point = view.points[i];
+    ctx.count_global_bytes(sizeof(Point));
     std::uint64_t neighbors = 0;
-    std::array<std::uint32_t, 9> cell_ids{};
+    StencilCells<Point> cell_ids{};
     const unsigned ncells = get_neighbor_cells(
         view.params, view.params.linear_cell(point), cell_ids);
     for (unsigned c = 0; c < ncells; ++c) {
@@ -495,8 +447,9 @@ struct CountKernelBody {
       ctx.count_global_bytes(sizeof(CellRange));
       const std::uint32_t candidates = range.count();
       ctx.count_global_bytes(static_cast<std::uint64_t>(candidates) *
-                             (sizeof(PointId) + sizeof(Point2)));
-      ctx.count_flops(static_cast<std::uint64_t>(candidates) * 6);
+                             (sizeof(PointId) + sizeof(Point)));
+      ctx.count_flops(static_cast<std::uint64_t>(candidates) *
+                      PointTraits<Point>::kFlopsPerTest);
       for (std::uint32_t a = range.begin; a < range.end; ++a) {
         if (dist2(point, view.points[view.lookup[a]]) <= eps2) ++neighbors;
       }
@@ -511,80 +464,55 @@ struct CountKernelBody {
   return static_cast<unsigned>((threads_needed + block_size - 1) / block_size);
 }
 
+/// Launches `body` with one thread per point of `batch`.
+template <typename Body>
+cudasim::KernelStats run_batch(cudasim::Device& device, std::uint32_t points,
+                               unsigned block_size, const Body& body) {
+  return cudasim::run_flat_kernel(device, grid_dim_for(points, block_size),
+                                  block_size, body);
+}
+
 }  // namespace
 
+template <typename Point>
 cudasim::KernelStats run_calc_global(cudasim::Device& device,
-                                     const GridView& view, float eps,
+                                     const GridView<Point>& view, float eps,
                                      BatchSpec batch, ResultSinkView sink,
                                      unsigned block_size) {
-  const std::uint32_t points = batch.points_in_batch(view.query_count());
-  const unsigned grid = grid_dim_for(points, block_size);
-  GlobalKernelBody body{view, eps * eps, batch, sink};
-  return cudasim::run_flat_kernel(device, grid, block_size, body);
+  return run_batch(device, batch.points_in_batch(view.query_count()),
+                   block_size,
+                   GlobalKernelBody<Point>{view, eps * eps, batch, sink});
 }
 
+template <typename View>
 cudasim::KernelStats run_count_batch(cudasim::Device& device,
-                                     const GridView& view, float eps,
+                                     const View& view, float eps,
                                      BatchSpec batch, std::uint32_t* counts,
                                      unsigned block_size) {
-  const std::uint32_t points = batch.points_in_batch(view.query_count());
-  const unsigned grid = grid_dim_for(points, block_size);
-  CountBatchKernelBody body{view, eps * eps, batch, counts};
-  return cudasim::run_flat_kernel(device, grid, block_size, body);
+  return run_batch(device, batch.points_in_batch(view.query_count()),
+                   block_size,
+                   CountBatchKernelBody<View>{view, eps * eps, batch, counts});
 }
 
-cudasim::KernelStats run_fill_csr(cudasim::Device& device,
-                                  const GridView& view, float eps,
-                                  BatchSpec batch,
+template <typename View>
+cudasim::KernelStats run_fill_csr(cudasim::Device& device, const View& view,
+                                  float eps, BatchSpec batch,
                                   const std::uint32_t* offsets,
                                   PointId* values, unsigned block_size) {
-  const std::uint32_t points = batch.points_in_batch(view.query_count());
-  const unsigned grid = grid_dim_for(points, block_size);
-  FillCsrKernelBody body{view, eps * eps, batch, offsets, values};
-  return cudasim::run_flat_kernel(device, grid, block_size, body);
+  return run_batch(
+      device, batch.points_in_batch(view.query_count()), block_size,
+      FillCsrKernelBody<View>{view, eps * eps, batch, offsets, values});
 }
 
-cudasim::KernelStats run_count_batch(cudasim::Device& device,
-                                     const BvhView& view, float eps,
-                                     BatchSpec batch, std::uint32_t* counts,
-                                     unsigned block_size) {
-  const std::uint32_t points = batch.points_in_batch(view.query_count());
-  const unsigned grid = grid_dim_for(points, block_size);
-  BvhCountBatchKernelBody body{view, eps * eps, batch, counts};
-  return cudasim::run_flat_kernel(device, grid, block_size, body);
-}
-
-cudasim::KernelStats run_fill_csr(cudasim::Device& device,
-                                  const BvhView& view, float eps,
-                                  BatchSpec batch,
-                                  const std::uint32_t* offsets,
-                                  PointId* values, unsigned block_size) {
-  const std::uint32_t points = batch.points_in_batch(view.query_count());
-  const unsigned grid = grid_dim_for(points, block_size);
-  BvhFillCsrKernelBody body{view, eps * eps, batch, offsets, values};
-  return cudasim::run_flat_kernel(device, grid, block_size, body);
-}
-
+template <typename View>
 cudasim::KernelStats run_fused_batch(cudasim::Device& device,
-                                     const GridView& view, float eps,
+                                     const View& view, float eps,
                                      BatchSpec batch, StreamingDbscan& sink,
                                      unsigned block_size) {
-  const std::uint32_t points = batch.points_in_batch(view.query_count());
-  const unsigned grid = grid_dim_for(points, block_size);
-  FusedKernelBody<GridView> body{view, eps * eps, batch, sink.fused_view(),
-                                 &sink};
-  return cudasim::run_flat_kernel(device, grid, block_size, body);
-}
-
-cudasim::KernelStats run_fused_batch(cudasim::Device& device,
-                                     const BvhView& view, float eps,
-                                     BatchSpec batch, StreamingDbscan& sink,
-                                     unsigned block_size) {
-  const std::uint32_t points = batch.points_in_batch(view.query_count());
-  const unsigned grid = grid_dim_for(points, block_size);
-  FusedKernelBody<BvhView> body{view, eps * eps, batch, sink.fused_view(),
-                                &sink};
-  return cudasim::run_flat_kernel(device, grid, block_size, body);
+  return run_batch(device, batch.points_in_batch(view.query_count()),
+                   block_size,
+                   FusedKernelBody<View>{view, eps * eps, batch,
+                                         sink.fused_view(), &sink});
 }
 
 std::size_t shared_kernel_smem_bytes(unsigned block_size) {
@@ -594,7 +522,7 @@ std::size_t shared_kernel_smem_bytes(unsigned block_size) {
 }
 
 cudasim::KernelStats run_calc_shared(cudasim::Device& device,
-                                     const GridView& view,
+                                     const GridView<Point2>& view,
                                      const std::uint32_t* schedule,
                                      std::uint32_t num_cells, float eps,
                                      ResultSinkView sink,
@@ -607,8 +535,10 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
                                   shared_kernel_smem_bytes(block_size), gen);
 }
 
-std::uint64_t run_count_kernel(cudasim::Device& device, const GridView& view,
-                               float eps, std::uint32_t sample_stride,
+template <typename Point>
+std::uint64_t run_count_kernel(cudasim::Device& device,
+                               const GridView<Point>& view, float eps,
+                               std::uint32_t sample_stride,
                                cudasim::KernelStats* stats_out,
                                unsigned block_size) {
   if (sample_stride == 0) sample_stride = 1;
@@ -616,11 +546,39 @@ std::uint64_t run_count_kernel(cudasim::Device& device, const GridView& view,
   const std::uint64_t samples =
       (view.query_count() + sample_stride - 1) / sample_stride;
   const unsigned grid = grid_dim_for(samples, block_size);
-  CountKernelBody body{view, eps * eps, sample_stride, &total};
+  CountKernelBody<Point> body{view, eps * eps, sample_stride, &total};
   const cudasim::KernelStats stats =
       cudasim::run_flat_kernel(device, grid, block_size, body);
   if (stats_out != nullptr) *stats_out = stats;
   return total.load(std::memory_order_relaxed);
 }
+
+// The grid kernels serve 2-D and 3-D points; the BVH is 2-D only.
+#define HDBSCAN_GRID_KERNELS(Point)                                          \
+  template cudasim::KernelStats run_calc_global(                             \
+      cudasim::Device&, const GridView<Point>&, float, BatchSpec,            \
+      ResultSinkView, unsigned);                                             \
+  template std::uint64_t run_count_kernel(cudasim::Device&,                  \
+                                          const GridView<Point>&, float,     \
+                                          std::uint32_t,                     \
+                                          cudasim::KernelStats*, unsigned);
+#define HDBSCAN_VIEW_KERNELS(View)                                           \
+  template cudasim::KernelStats run_count_batch(                             \
+      cudasim::Device&, const View&, float, BatchSpec, std::uint32_t*,       \
+      unsigned);                                                             \
+  template cudasim::KernelStats run_fill_csr(cudasim::Device&, const View&,  \
+                                             float, BatchSpec,               \
+                                             const std::uint32_t*, PointId*, \
+                                             unsigned);                      \
+  template cudasim::KernelStats run_fused_batch(                             \
+      cudasim::Device&, const View&, float, BatchSpec, StreamingDbscan&,     \
+      unsigned);
+HDBSCAN_GRID_KERNELS(Point2)
+HDBSCAN_GRID_KERNELS(Point3)
+HDBSCAN_VIEW_KERNELS(GridView<Point2>)
+HDBSCAN_VIEW_KERNELS(GridView<Point3>)
+HDBSCAN_VIEW_KERNELS(BvhView)
+#undef HDBSCAN_GRID_KERNELS
+#undef HDBSCAN_VIEW_KERNELS
 
 }  // namespace hdbscan::gpu

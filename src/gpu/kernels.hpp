@@ -2,7 +2,8 @@
 // estimation kernel for the batching scheme.
 //
 //  * GPUCalcGlobal (Alg. 2): one thread per point; reads candidates from
-//    up to 9 adjacent grid cells straight out of global memory.
+//    the forward half of the 3^d adjacent grid cells straight out of
+//    global memory.
 //  * GPUCalcShared (Alg. 3): one thread block per non-empty grid cell;
 //    pages origin- and comparison-cell points into shared memory in
 //    block-sized tiles with barriers between phases. When a cell holds
@@ -14,6 +15,11 @@
 // Batched execution (§VI, Fig. 2): batch l of n_b processes points
 // i = gid * n_b + l, so every batch samples the (spatially sorted) database
 // uniformly and batch result sizes stay nearly equal.
+//
+// Each grid kernel body is written once over the point type: the
+// `GridView<Point>` templates below are instantiated for Point2 and Point3
+// (3-D cells have a 27-cell stencil, 13 of it forward, and a distance test
+// charges 9 FLOPs instead of 6). GPUCalcShared and the BVH are 2-D only.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +55,9 @@ struct BatchSpec {
 /// emitted (same-cell candidates at/after the query's lookup position plus
 /// the forward stencil); the caller restores symmetry afterwards via
 /// NeighborTable::expand_half_table.
+template <typename Point>
 cudasim::KernelStats run_calc_global(cudasim::Device& device,
-                                     const GridView& view, float eps,
+                                     const GridView<Point>& view, float eps,
                                      BatchSpec batch, ResultSinkView sink,
                                      unsigned block_size = kDefaultBlockSize);
 
@@ -59,7 +66,7 @@ cudasim::KernelStats run_calc_global(cudasim::Device& device,
 /// and emitted in both directions device-side (StagedSink::push_dual), so
 /// the output is already the full table.
 cudasim::KernelStats run_calc_shared(cudasim::Device& device,
-                                     const GridView& view,
+                                     const GridView<Point2>& view,
                                      const std::uint32_t* schedule,
                                      std::uint32_t num_cells, float eps,
                                      ResultSinkView sink,
@@ -69,8 +76,10 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
 /// batch. Thread g writes the forward-row length of point g of the batch
 /// to counts[g] (counts must hold batch.points_in_batch(n) entries). No
 /// atomics — the host transpose restores back rows after the merge.
+/// `View` is GridView<Point2>, GridView<Point3> or BvhView (below).
+template <typename View>
 cudasim::KernelStats run_count_batch(cudasim::Device& device,
-                                     const GridView& view, float eps,
+                                     const View& view, float eps,
                                      BatchSpec batch, std::uint32_t* counts,
                                      unsigned block_size = kDefaultBlockSize);
 
@@ -78,38 +87,23 @@ cudasim::KernelStats run_count_batch(cudasim::Device& device,
 /// CSR slots. `offsets` is the exclusive prefix scan of the pass-1 counts;
 /// thread g writes its neighbors at values[offsets[g]...]. No atomics, no
 /// sort needed afterwards.
-cudasim::KernelStats run_fill_csr(cudasim::Device& device,
-                                  const GridView& view, float eps,
-                                  BatchSpec batch,
+template <typename View>
+cudasim::KernelStats run_fill_csr(cudasim::Device& device, const View& view,
+                                  float eps, BatchSpec batch,
                                   const std::uint32_t* offsets,
                                   PointId* values,
                                   unsigned block_size = kDefaultBlockSize);
 
-// --- IndexBackend::kBvh traversal variants -------------------------------
+// --- IndexBackend::kBvh traversal (View = BvhView) -----------------------
 //
 // Same per-point batching contract as the grid kernels, but candidates
 // come from a packed-BVH stack traversal (min_dist2 pruning against node
-// MBRs) instead of the 9-cell stencil. The tree has no forward stencil, so
+// MBRs) instead of the grid stencil. The tree has no forward stencil, so
 // the half rule is id-based: row i owns exactly the candidates with
 // id >= i (self included) and subtrees whose max_id < i are pruned
 // outright. Every cross pair lands in exactly one row — the same cover
 // expand_half_table and the streaming consumer require — so the
 // merged/expanded table is identical to the grid backend's.
-
-/// Two-pass CSR pass 1 over the BVH: counts[g] = |forward row of batch
-/// point g|. No atomics.
-cudasim::KernelStats run_count_batch(cudasim::Device& device,
-                                     const BvhView& view, float eps,
-                                     BatchSpec batch, std::uint32_t* counts,
-                                     unsigned block_size = kDefaultBlockSize);
-
-/// Two-pass CSR pass 2 over the BVH.
-cudasim::KernelStats run_fill_csr(cudasim::Device& device,
-                                  const BvhView& view, float eps,
-                                  BatchSpec batch,
-                                  const std::uint32_t* offsets,
-                                  PointId* values,
-                                  unsigned block_size = kDefaultBlockSize);
 
 // --- Fused no-table clustering traversal (ClusterMode::kFused) -----------
 //
@@ -123,16 +117,11 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device,
 // for the compaction/finalize machinery to settle. The neighbor table is
 // never materialized: the only per-pair bytes are the parked-edge writes.
 
-/// Fused traversal over the grid backend. Returns the launch's stats;
-/// degrees/unions/parked edges land in `sink`.
+/// Fused traversal over a grid (2-D or 3-D) or the BVH. Returns the
+/// launch's stats; degrees/unions/parked edges land in `sink`.
+template <typename View>
 cudasim::KernelStats run_fused_batch(cudasim::Device& device,
-                                     const GridView& view, float eps,
-                                     BatchSpec batch, StreamingDbscan& sink,
-                                     unsigned block_size = kDefaultBlockSize);
-
-/// Fused traversal over the BVH backend.
-cudasim::KernelStats run_fused_batch(cudasim::Device& device,
-                                     const BvhView& view, float eps,
+                                     const View& view, float eps,
                                      BatchSpec batch, StreamingDbscan& sink,
                                      unsigned block_size = kDefaultBlockSize);
 
@@ -143,8 +132,10 @@ cudasim::KernelStats run_fused_batch(cudasim::Device& device,
 /// Result-size estimation kernel: counts |N_eps(p_i)| for points
 /// i = 0, stride, 2*stride, ... and returns the raw sampled count e_b.
 /// Runs synchronously; negligible cost by design (no result set).
-std::uint64_t run_count_kernel(cudasim::Device& device, const GridView& view,
-                               float eps, std::uint32_t sample_stride,
+template <typename Point>
+std::uint64_t run_count_kernel(cudasim::Device& device,
+                               const GridView<Point>& view, float eps,
+                               std::uint32_t sample_stride,
                                cudasim::KernelStats* stats_out = nullptr,
                                unsigned block_size = kDefaultBlockSize);
 

@@ -1,7 +1,7 @@
-// Cell-major layout shared by the 2-D and 3-D grid builders
-// (build_grid_index, build_grid_index3): one stable counting sort of input
-// ids by linear eps-cell id, plus the input checks that keep every
-// float->integer cast of the build defined.
+// Cell-major layout of the grid builder (build_grid_index, 2-D and 3-D):
+// one stable counting sort of input ids by linear eps-cell id, plus the
+// input checks that keep every float->integer cast of the build defined
+// (also used by the cell-graph pass).
 #pragma once
 
 #include <algorithm>
@@ -49,8 +49,8 @@ inline void check_cell_count(double cells, std::uint64_t max_cells,
   }
 }
 
-/// Lays `input` out cell-major in `index` (a GridIndex or GridIndex3 whose
-/// params are set): one stable counting sort of input ids by
+/// Lays `input` out cell-major in `index` (a GridIndex whose params are
+/// set): one stable counting sort of input ids by
 /// `cell_of(point)`, so points[cells[h].begin, cells[h].end) are cell h's
 /// residents in ascending input id, original_ids maps each position back
 /// to its input id, and the lookup array A is the identity. Fills cells,

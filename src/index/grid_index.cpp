@@ -2,50 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "index/cell_major.hpp"
 
 namespace hdbscan {
 
-unsigned get_neighbor_cells(const GridParams& params, std::uint32_t cell,
-                            std::array<std::uint32_t, 9>& out) noexcept {
-  const std::uint32_t cx = cell % params.cells_x;
-  const std::uint32_t cy = cell / params.cells_x;
-  unsigned n = 0;
-  for (int dy = -1; dy <= 1; ++dy) {
-    const std::int64_t ny = static_cast<std::int64_t>(cy) + dy;
-    if (ny < 0 || ny >= static_cast<std::int64_t>(params.cells_y)) continue;
-    for (int dx = -1; dx <= 1; ++dx) {
-      const std::int64_t nx = static_cast<std::int64_t>(cx) + dx;
-      if (nx < 0 || nx >= static_cast<std::int64_t>(params.cells_x)) continue;
-      out[n++] = static_cast<std::uint32_t>(ny) * params.cells_x +
-                 static_cast<std::uint32_t>(nx);
-    }
-  }
-  return n;
-}
+namespace {
 
-unsigned get_forward_neighbor_cells(
-    const GridParams& params, std::uint32_t cell,
-    std::array<std::uint32_t, 9>& out) noexcept {
-  const std::uint32_t cx = cell % params.cells_x;
-  const std::uint32_t cy = cell / params.cells_x;
-  unsigned n = 0;
-  // Row-major linearization: (+1, 0) and every dy = +1 cell have a larger
-  // linear id than `cell`; everything else is smaller.
-  if (cx + 1 < params.cells_x) out[n++] = cell + 1;
-  if (cy + 1 < params.cells_y) {
-    const std::uint32_t row = cell + params.cells_x;
-    if (cx > 0) out[n++] = row - 1;
-    out[n++] = row;
-    if (cx + 1 < params.cells_x) out[n++] = row + 1;
-  }
-  return n;
-}
-
-GridIndex build_grid_index(std::span<const Point2> input, float eps,
-                           std::uint64_t max_cells) {
+template <typename Point>
+GridIndex<Point> build(std::span<const Point> input, float eps,
+                       std::uint64_t max_cells) {
+  using Traits = PointTraits<Point>;
+  constexpr int kDims = Traits::kDims;
   if (input.empty()) throw std::invalid_argument("grid index: empty database");
   if (!(eps > 0.0f) || !std::isfinite(eps)) {
     throw std::invalid_argument("grid index: eps must be positive and finite");
@@ -53,43 +23,73 @@ GridIndex build_grid_index(std::span<const Point2> input, float eps,
 
   // Dataset extent. A NaN or infinite coordinate has no cell (and
   // std::min/max would skip a NaN), so refuse it here, before any cast.
-  Rect2 extent;
+  std::array<float, kDims> lo;
+  std::array<float, kDims> hi;
+  lo.fill(std::numeric_limits<float>::max());
+  hi.fill(std::numeric_limits<float>::lowest());
   for (std::size_t i = 0; i < input.size(); ++i) {
-    const Point2& p = input[i];
-    if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
-      detail::throw_non_finite("grid index", i);
+    for (int axis = 0; axis < kDims; ++axis) {
+      const float v = Traits::coord(input[i], axis);
+      if (!std::isfinite(v)) detail::throw_non_finite("grid index", i);
+      lo[axis] = std::min(lo[axis], v);
+      hi[axis] = std::max(hi[axis], v);
     }
-    extent.expand(p);
   }
 
   // Grid geometry, bounded in double before the casts to cell counts.
-  GridIndex index;
-  GridParams& params = index.params;
-  params.min_x = extent.min_x;
-  params.min_y = extent.min_y;
+  GridIndex<Point> index;
+  GridParams<Point>& params = index.params;
+  params.origin = lo;
   params.eps = eps;
-  const double cells_x = detail::axis_cells(extent.min_x, extent.max_x, eps);
-  const double cells_y = detail::axis_cells(extent.min_y, extent.max_y, eps);
-  detail::check_cell_count(cells_x * cells_y, max_cells, "grid index");
-  params.cells_x = static_cast<std::uint32_t>(cells_x);
-  params.cells_y = static_cast<std::uint32_t>(cells_y);
+  std::array<double, kDims> cells;
+  double num_cells = 1.0;
+  for (int axis = 0; axis < kDims; ++axis) {
+    cells[axis] = detail::axis_cells(lo[axis], hi[axis], eps);
+    num_cells *= cells[axis];
+  }
+  detail::check_cell_count(num_cells, max_cells, "grid index");
+  for (int axis = 0; axis < kDims; ++axis) {
+    params.shape[axis] = static_cast<std::uint32_t>(cells[axis]);
+  }
 
   // One stable counting sort by linear cell id: D is cell-major, G holds
   // each cell's contiguous [Amin, Amax) range and A is the identity.
   detail::fill_cell_major(
       index, input, static_cast<std::size_t>(params.num_cells()),
-      [&params](const Point2& p) { return params.linear_cell(p); },
+      [&params](const Point& p) { return params.linear_cell(p); },
       "grid index");
   return index;
 }
 
-void grid_query(const GridIndex& index, const Point2& q, float eps,
+/// Appends the ids in A[range) whose points lie within eps of `q`.
+template <typename Point>
+void scan_cell(const GridIndex<Point>& index, CellRange range, const Point& q,
+               float eps2, std::vector<PointId>& out) {
+  for (std::uint32_t a = range.begin; a < range.end; ++a) {
+    const PointId id = index.lookup[a];
+    if (dist2(q, index.points[id]) <= eps2) out.push_back(id);
+  }
+}
+
+}  // namespace
+
+GridIndex<Point2> build_grid_index(std::span<const Point2> input, float eps,
+                                   std::uint64_t max_cells) {
+  return build(input, eps, max_cells);
+}
+
+GridIndex<Point3> build_grid_index(std::span<const Point3> input, float eps,
+                                   std::uint64_t max_cells) {
+  return build(input, eps, max_cells);
+}
+
+template <typename Point>
+void grid_query(const GridIndex<Point>& index, const Point& q, float eps,
                 std::vector<PointId>& out) {
   out.clear();
-  const float eps2 = eps * eps;
-  const std::uint32_t cell = index.params.linear_cell(q);
-  std::array<std::uint32_t, 9> neighbors{};
-  const unsigned n = get_neighbor_cells(index.params, cell, neighbors);
+  StencilCells<Point> neighbors{};
+  const unsigned n =
+      get_neighbor_cells(index.params, index.params.linear_cell(q), neighbors);
   for (unsigned c = 0; c < n; ++c) {
     // Shard sub-indexes hold a slab: global cell h lives at h - cell_base.
     // Queries for owned points never leave the slab; the bound check only
@@ -97,19 +97,16 @@ void grid_query(const GridIndex& index, const Point2& q, float eps,
     // cells below the base).
     const std::uint32_t local = neighbors[c] - index.cell_base;
     if (local >= index.cells.size()) continue;
-    const CellRange range = index.cells[local];
-    for (std::uint32_t a = range.begin; a < range.end; ++a) {
-      const PointId id = index.lookup[a];
-      if (dist2(q, index.points[id]) <= eps2) out.push_back(id);
-    }
+    scan_cell(index, index.cells[local], q, eps * eps, out);
   }
 }
 
-void grid_query_forward(const GridIndex& index, PointId query, float eps,
-                        std::vector<PointId>& out) {
+template <typename Point>
+void grid_query_forward(const GridIndex<Point>& index, PointId query,
+                        float eps, std::vector<PointId>& out) {
   out.clear();
   const float eps2 = eps * eps;
-  const Point2 point = index.points[query];
+  const Point point = index.points[query];
   const std::uint32_t cell = index.params.linear_cell(point);
 
   // Same cell: the ordering invariant makes the slice of A ascending, so
@@ -117,21 +114,28 @@ void grid_query_forward(const GridIndex& index, PointId query, float eps,
   const CellRange own = index.cells[cell - index.cell_base];
   const auto* first = index.lookup.data() + own.begin;
   const auto* last = index.lookup.data() + own.end;
-  for (const auto* a = std::lower_bound(first, last, query); a != last; ++a) {
-    if (dist2(point, index.points[*a]) <= eps2) out.push_back(*a);
-  }
+  const auto* from = std::lower_bound(first, last, query);
+  scan_cell(index,
+            CellRange{static_cast<std::uint32_t>(from - index.lookup.data()),
+                      own.end},
+            point, eps2, out);
 
-  std::array<std::uint32_t, 9> cells{};
+  StencilCells<Point> cells{};
   const unsigned n = get_forward_neighbor_cells(index.params, cell, cells);
   for (unsigned c = 0; c < n; ++c) {
     const std::uint32_t local = cells[c] - index.cell_base;
     if (local >= index.cells.size()) continue;
-    const CellRange range = index.cells[local];
-    for (std::uint32_t a = range.begin; a < range.end; ++a) {
-      const PointId id = index.lookup[a];
-      if (dist2(point, index.points[id]) <= eps2) out.push_back(id);
-    }
+    scan_cell(index, index.cells[local], point, eps2, out);
   }
 }
+
+template void grid_query(const GridIndex<Point2>&, const Point2&, float,
+                         std::vector<PointId>&);
+template void grid_query(const GridIndex<Point3>&, const Point3&, float,
+                         std::vector<PointId>&);
+template void grid_query_forward(const GridIndex<Point2>&, PointId, float,
+                                 std::vector<PointId>&);
+template void grid_query_forward(const GridIndex<Point3>&, PointId, float,
+                                 std::vector<PointId>&);
 
 }  // namespace hdbscan

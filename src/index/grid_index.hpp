@@ -1,12 +1,13 @@
-// Grid index for epsilon-neighborhood searches (paper §IV, Figure 1).
+// Grid index for epsilon-neighborhood searches (paper §IV, Figure 1),
+// written once for 2-D and 3-D points (GridIndex<Point2>, GridIndex<Point3>).
 //
 // The index consists of:
 //   * D  — the database in cell-major order: one stable counting sort by
 //          linear cell id, so each cell's points are contiguous in memory
 //          (locality optimization; the paper pre-sorts by unit-width bins
 //          instead, see DESIGN.md §10);
-//   * G  — an array of eps x eps cells, each holding a range [Amin, Amax]
-//          into the lookup array;
+//   * G  — an array of eps-wide square (2-D) or cube (3-D) cells, each
+//          holding a range [Amin, Amax] into the lookup array;
 //   * A  — the lookup array of point ids, |A| == |D| (a point lives in
 //          exactly one cell, so no per-cell over-allocation is needed). On
 //          a full index D is already cell-major, so A is the identity;
@@ -15,7 +16,8 @@
 //          thread block per entry of S).
 //
 // Because cells are eps wide, all neighbors within eps of a point are
-// guaranteed to lie in the point's cell or the 8 adjacent cells.
+// guaranteed to lie in the point's cell or its 3^d - 1 adjacent cells (8 in
+// 2-D, 26 in 3-D).
 #pragma once
 
 #include <array>
@@ -37,54 +39,155 @@ struct CellRange {
 };
 
 /// Geometry of the grid; a POD so it can be passed to kernels by value.
+/// Cells are linearized row-major with axis 0 fastest:
+/// h = (c_z * shape[1] + c_y) * shape[0] + c_x.
+template <typename Point>
 struct GridParams {
-  float min_x = 0.0f;
-  float min_y = 0.0f;
+  static constexpr int kDims = PointTraits<Point>::kDims;
+
+  std::array<float, kDims> origin{};  ///< per-axis minimum of the data
   float eps = 0.0f;
-  std::uint32_t cells_x = 0;
-  std::uint32_t cells_y = 0;
+  std::array<std::uint32_t, kDims> shape{};  ///< cells per axis
 
   [[nodiscard]] std::uint64_t num_cells() const noexcept {
-    return static_cast<std::uint64_t>(cells_x) * cells_y;
+    std::uint64_t n = 1;
+    for (const std::uint32_t s : shape) n *= s;
+    return n;
   }
 
-  [[nodiscard]] std::uint32_t cell_x_of(float x) const noexcept {
-    auto c = static_cast<std::int64_t>((x - min_x) / eps);
+  /// Cell coordinate of value `v` along `axis`, clamped into the grid.
+  [[nodiscard]] std::uint32_t axis_cell(float v, int axis) const noexcept {
+    auto c = static_cast<std::int64_t>((v - origin[axis]) / eps);
     if (c < 0) c = 0;
-    if (c >= static_cast<std::int64_t>(cells_x)) c = cells_x - 1;
+    if (c >= static_cast<std::int64_t>(shape[axis])) c = shape[axis] - 1;
     return static_cast<std::uint32_t>(c);
   }
 
-  [[nodiscard]] std::uint32_t cell_y_of(float y) const noexcept {
-    auto c = static_cast<std::int64_t>((y - min_y) / eps);
-    if (c < 0) c = 0;
-    if (c >= static_cast<std::int64_t>(cells_y)) c = cells_y - 1;
-    return static_cast<std::uint32_t>(c);
-  }
-
-  /// Linearized cell id h of a point (paper: h computed from x/y coords).
-  [[nodiscard]] std::uint32_t linear_cell(const Point2& p) const noexcept {
-    return cell_y_of(p.y) * cells_x + cell_x_of(p.x);
+  /// Linearized cell id h of a point (paper: h computed from its coords).
+  [[nodiscard]] std::uint32_t linear_cell(const Point& p) const noexcept {
+    std::uint32_t h = 0;
+    for (int axis = kDims - 1; axis >= 0; --axis) {
+      const float v = PointTraits<Point>::coord(p, axis);
+      h = h * shape[axis] + axis_cell(v, axis);
+    }
+    return h;
   }
 };
 
-/// Fills `out` with the linear ids of the (at most 9) cells that can
-/// contain points within eps of anything in `cell`; returns how many.
-/// Cells outside the grid boundary are clipped.
-unsigned get_neighbor_cells(const GridParams& params, std::uint32_t cell,
-                            std::array<std::uint32_t, 9>& out) noexcept;
+namespace detail {
 
-/// Forward half of the 9-cell stencil: the (at most 4) adjacent cells with
-/// linear id strictly greater than `cell` — (+1, 0) in the same row plus
-/// the whole dy = +1 row. Cell adjacency is symmetric, so every adjacent
+/// 3^D: the cells of the stencil around a cell.
+template <int D>
+inline constexpr std::size_t kStencilSize = 3 * kStencilSize<D - 1>;
+template <>
+inline constexpr std::size_t kStencilSize<0> = 1;
+
+template <int D>
+using CellOffset = std::array<std::int8_t, D>;
+
+/// The 3^d cell offsets around a cell, axis 0 fastest. Offset index order
+/// is linear-id order, so the center sits in the middle and exactly the
+/// offsets with a larger linear id follow it.
+template <int D>
+inline constexpr auto kStencil = [] {
+  std::array<CellOffset<D>, kStencilSize<D>> table{};
+  for (unsigned k = 0; k < table.size(); ++k) {
+    unsigned digits = k;
+    for (int axis = 0; axis < D; ++axis) {
+      const int step = static_cast<int>(digits % 3) - 1;
+      table[k][axis] = static_cast<std::int8_t>(step);
+      digits /= 3;
+    }
+  }
+  return table;
+}();
+
+/// The offsets of kStencil with a larger linear id than the center: 4 in
+/// 2-D, 13 in 3-D, in ascending linear id.
+template <int D>
+inline constexpr auto kForwardStencil = [] {
+  constexpr std::size_t half = kStencil<D>.size() / 2;
+  std::array<CellOffset<D>, half> table{};
+  for (std::size_t k = 0; k < half; ++k) table[k] = kStencil<D>[half + 1 + k];
+  return table;
+}();
+
+/// Writes the in-grid cells at `offsets` around `cell` to `out`, in table
+/// order (ascending linear id); cells outside the grid are clipped. Each
+/// axis is tested only where the offset leaves the cell's own column, so
+/// the 2-D forward stencil costs what a hand-written 4-cell version does.
+template <typename Point, std::size_t N>
+unsigned gather_cells(
+    const GridParams<Point>& params, std::uint32_t cell,
+    const std::array<CellOffset<GridParams<Point>::kDims>, N>& offsets,
+    std::uint32_t* out) noexcept {
+  constexpr int D = GridParams<Point>::kDims;
+  std::array<bool, D> has_below{};
+  std::array<bool, D> has_above{};
+  std::array<std::int64_t, D> stride{};
+  std::uint32_t rest = cell;
+  std::int64_t step = 1;
+  for (int axis = 0; axis < D; ++axis) {
+    const std::uint32_t c = axis + 1 < D ? rest % params.shape[axis] : rest;
+    rest /= params.shape[axis];
+    has_below[axis] = c > 0;
+    has_above[axis] = c + 1 < params.shape[axis];
+    stride[axis] = step;
+    step *= params.shape[axis];
+  }
+  unsigned n = 0;
+  for (const CellOffset<D>& offset : offsets) {
+    bool inside = true;
+    std::int64_t delta = 0;
+    for (int axis = 0; axis < D; ++axis) {
+      if (offset[axis] < 0) inside = inside && has_below[axis];
+      if (offset[axis] > 0) inside = inside && has_above[axis];
+      delta += offset[axis] * stride[axis];
+    }
+    if (inside) out[n++] = static_cast<std::uint32_t>(cell + delta);
+  }
+  return n;
+}
+
+}  // namespace detail
+
+/// Cells in the stencil around a cell: 9 in 2-D, 27 in 3-D.
+template <typename Point>
+inline constexpr std::size_t kStencilCells =
+    detail::kStencilSize<PointTraits<Point>::kDims>;
+
+/// Output buffer of the stencil functions.
+template <typename Point>
+using StencilCells = std::array<std::uint32_t, kStencilCells<Point>>;
+
+/// Fills `out` with the linear ids of the (at most 3^d) cells that can
+/// contain points within eps of anything in `cell`, in ascending order;
+/// returns how many. Cells outside the grid boundary are clipped.
+template <typename Point>
+unsigned get_neighbor_cells(const GridParams<Point>& params,
+                            std::uint32_t cell,
+                            StencilCells<Point>& out) noexcept {
+  return detail::gather_cells(
+      params, cell, detail::kStencil<GridParams<Point>::kDims>, out.data());
+}
+
+/// Forward half of the stencil: the (at most 4 in 2-D, 13 in 3-D) adjacent
+/// cells with linear id strictly greater than `cell`, in ascending order —
+/// in 2-D (+1, 0) plus the whole dy = +1 row; in 3-D that dz = 0 half plus
+/// the whole dz = +1 plane. Cell adjacency is symmetric, so every adjacent
 /// cell pair (a, b) with a != b appears in exactly one of the two forward
 /// stencils; the kernels' unidirectional scan therefore tests every
 /// cross-cell candidate pair exactly once. The cell itself is NOT included
 /// — same-cell pairs are halved by the ordering invariant instead (see
 /// build_grid_index).
-unsigned get_forward_neighbor_cells(const GridParams& params,
+template <typename Point>
+unsigned get_forward_neighbor_cells(const GridParams<Point>& params,
                                     std::uint32_t cell,
-                                    std::array<std::uint32_t, 9>& out) noexcept;
+                                    StencilCells<Point>& out) noexcept {
+  return detail::gather_cells(
+      params, cell, detail::kForwardStencil<GridParams<Point>::kDims>,
+      out.data());
+}
 
 /// Host-resident grid index.
 ///
@@ -96,10 +199,12 @@ unsigned get_forward_neighbor_cells(const GridParams& params,
 /// the first `num_query` points are the ones this shard owns (ascending
 /// global id), followed by the epsilon-halo ghosts (ascending global id).
 /// Kernels and host queries only ever query owned points, whose full
-/// 9-cell stencil lies inside the slab by construction.
+/// stencil lies inside the slab by construction. Shard slabs exist only
+/// for 2-D indexes.
+template <typename Point>
 struct GridIndex {
-  GridParams params;
-  std::vector<Point2> points;          ///< D, cell-major
+  GridParams<Point> params;
+  std::vector<Point> points;           ///< D, cell-major
   std::vector<PointId> original_ids;   ///< points[i] came from input[original_ids[i]]
   std::vector<CellRange> cells;        ///< G
   std::vector<PointId> lookup;         ///< A
@@ -130,9 +235,10 @@ struct GridIndex {
 
 /// Non-owning view of the index data; what kernels receive. The pointers
 /// may reference host vectors (tests) or device buffers (the real pipeline).
+template <typename Point>
 struct GridView {
-  GridParams params;
-  const Point2* points = nullptr;
+  GridParams<Point> params;
+  const Point* points = nullptr;
   std::uint32_t num_points = 0;  ///< resident points (extent of the arrays)
   const CellRange* cells = nullptr;
   const PointId* lookup = nullptr;
@@ -146,11 +252,7 @@ struct GridView {
     return num_query != 0 ? num_query : num_points;
   }
 
-  [[nodiscard]] PointId emit(PointId c) const noexcept {
-    return emit_ids == nullptr ? c : emit_ids[c];
-  }
-
-  [[nodiscard]] static GridView of(const GridIndex& g) noexcept {
+  [[nodiscard]] static GridView of(const GridIndex<Point>& g) noexcept {
     return GridView{g.params,
                     g.points.data(),
                     static_cast<std::uint32_t>(g.points.size()),
@@ -180,12 +282,15 @@ struct GridView {
 /// the builder verifies it before returning. Half-comparison kernels rely
 /// on it to binary-search their own lookup position and scan only
 /// same-cell candidates with id >= their own.
-GridIndex build_grid_index(std::span<const Point2> input, float eps,
-                           std::uint64_t max_cells = 1ull << 27);
+GridIndex<Point2> build_grid_index(std::span<const Point2> input, float eps,
+                                   std::uint64_t max_cells = 1ull << 27);
+GridIndex<Point3> build_grid_index(std::span<const Point3> input, float eps,
+                                   std::uint64_t max_cells = 1ull << 27);
 
 /// Reference search used by tests and the host fallback: all point ids
 /// (into the index's reordered D) within eps of q.
-void grid_query(const GridIndex& index, const Point2& q, float eps,
+template <typename Point>
+void grid_query(const GridIndex<Point>& index, const Point& q, float eps,
                 std::vector<PointId>& out);
 
 /// Forward-only reference search mirroring the kernels' half-scan
@@ -195,7 +300,8 @@ void grid_query(const GridIndex& index, const Point2& q, float eps,
 /// forward results over all queries, transposed, is the full neighbor
 /// table — the host-fallback shard builder and the equivalence tests use
 /// exactly this.
-void grid_query_forward(const GridIndex& index, PointId query, float eps,
-                        std::vector<PointId>& out);
+template <typename Point>
+void grid_query_forward(const GridIndex<Point>& index, PointId query,
+                        float eps, std::vector<PointId>& out);
 
 }  // namespace hdbscan

@@ -13,6 +13,7 @@
 #include "core/cell_graph.hpp"
 #include "core/estimator.hpp"
 #include "core/fused_clustering.hpp"
+#include "core/hybrid_dbscan.hpp"  // unmap_labels
 #include "core/neighbor_table_builder.hpp"
 #include "dbscan/batch_sink.hpp"
 #include "dbscan/dbscan.hpp"
@@ -80,17 +81,6 @@ void emit_stage_spans(const RequestContext& ctx, double submit_us,
   }
 }
 
-/// Remaps index-order labels back to input order (the service returns
-/// labels the caller can line up with the registered points).
-std::vector<std::int32_t> unmap(const std::vector<std::int32_t>& indexed,
-                                const std::vector<PointId>& original_ids) {
-  std::vector<std::int32_t> out(indexed.size());
-  for (std::size_t i = 0; i < indexed.size(); ++i) {
-    out[original_ids[i]] = indexed[i];
-  }
-  return out;
-}
-
 }  // namespace
 
 ClusterService::ClusterService(std::vector<cudasim::Device*> devices,
@@ -126,7 +116,7 @@ void ClusterService::register_dataset(const std::string& name,
   Dataset ds;
   ds.points = std::move(points);
   ds.ref_eps = reference_eps;
-  GridIndex index = build_grid_index(ds.points, reference_eps);
+  GridIndex<Point2> index = build_grid_index(ds.points, reference_eps);
   // Calibrate with the estimation kernel over the host-resident view (no
   // index upload): one cheap device op per dataset, at registration — the
   // admission decision itself is pure arithmetic afterwards.
@@ -134,7 +124,7 @@ void ClusterService::register_dataset(const std::string& name,
     if (d->lost()) continue;
     try {
       const ResultSizeEstimate est = estimate_result_size(
-          *d, GridView::of(index), reference_eps,
+          *d, GridView<Point2>::of(index), reference_eps,
           options_.policy.sample_fraction, options_.policy.block_size);
       ds.ref_pairs = est.estimated_total;
       break;
@@ -680,7 +670,7 @@ void ClusterService::process_group(PendingPtr leader,
     }
     r.stages.add(Stage::kCache, t.seconds());
     if (options_.keep_labels) {
-      r.labels = unmap(labels.labels, entry.original_ids);
+      r.labels = unmap_labels(labels, entry.original_ids).labels;
     }
     record_terminal(job, rs, JobState::kCompleted, std::move(r));
   };
@@ -720,7 +710,7 @@ void ClusterService::process_group(PendingPtr leader,
       return;
     }
     WallTimer t;
-    GridIndex index = build_grid_index(ds.points, lead.eps);
+    GridIndex<Point2> index = build_grid_index(ds.points, lead.eps);
     CachedTable entry;
     entry.table = build_neighbor_table_host_parallel(index, lead.eps,
                                                      /*num_threads=*/0);
@@ -767,7 +757,7 @@ void ClusterService::process_group(PendingPtr leader,
 
   try {
     WallTimer build_wall_timer;
-    GridIndex index = build_grid_index(ds.points, lead.eps);
+    GridIndex<Point2> index = build_grid_index(ds.points, lead.eps);
     const double index_wall = build_wall_timer.seconds();
 
     if (lead.fused) {
@@ -807,7 +797,7 @@ void ClusterService::process_group(PendingPtr leader,
         r.stages.add(Stage::kBuild, build_wall, first ? build_model : 0.0);
         r.stages.add(Stage::kStreamUnion, finalize_wall);
         if (options_.keep_labels) {
-          r.labels = unmap(labels.labels, index.original_ids);
+          r.labels = unmap_labels(labels, index.original_ids).labels;
         }
         record_terminal(*job, rs, JobState::kCompleted, std::move(r));
         first = false;
@@ -878,7 +868,7 @@ void ClusterService::process_group(PendingPtr leader,
                    j == 0 ? build_model : 0.0);
       r.stages.add(Stage::kStreamUnion, t.seconds());
       if (options_.keep_labels) {
-        r.labels = unmap(labels.labels, index.original_ids);
+        r.labels = unmap_labels(labels, index.original_ids).labels;
       }
       record_terminal(job, rs, JobState::kCompleted, std::move(r));
     }

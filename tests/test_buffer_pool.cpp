@@ -188,7 +188,7 @@ TEST(BufferPool, SurvivesRandomizedFaultPlans) {
   const auto points = data::generate_space_weather(
       1500, 21, {.width = 8.0f, .height = 8.0f});
   const float eps = 0.35f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   NeighborTable oracle = build_neighbor_table_host(index, eps);
   oracle.canonicalize();
 
@@ -217,7 +217,7 @@ TEST(BufferPool, ScriptedOomDuringBuildLeavesPoolConsistent) {
   const auto points = data::generate_space_weather(
       2000, 45, {.width = 8.0f, .height = 8.0f});
   const float eps = 0.35f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   NeighborTable oracle = build_neighbor_table_host(index, eps);
   oracle.canonicalize();
 

@@ -230,7 +230,7 @@ TEST(Bvh, DeviceTableMatchesGridOracle) {
   const float eps = 0.4f;
   const auto points = data::generate_space_weather(
       2000, 38, {.width = 10.0f, .height = 10.0f});
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   NeighborTable oracle = build_neighbor_table_host(index, eps);
   oracle.canonicalize();
 

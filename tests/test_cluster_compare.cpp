@@ -26,7 +26,7 @@ struct LineFixture {
     valid = dbscan_neighbor_table(table, 3);
   }
   std::vector<Point2> points;
-  GridIndex index;
+  GridIndex<Point2> index;
   NeighborTable table;
   ClusterResult valid;
 };
@@ -67,7 +67,7 @@ TEST(ValidateDbscan, RejectsMergedComponents) {
   std::vector<Point2> points;
   for (int i = 0; i < 3; ++i) points.push_back({static_cast<float>(i) * 0.1f, 0});
   for (int i = 0; i < 3; ++i) points.push_back({10.0f + static_cast<float>(i) * 0.1f, 0});
-  const GridIndex index = build_grid_index(points, 0.5f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.5f);
   const NeighborTable table = build_neighbor_table_host(index, 0.5f);
   ClusterResult good = dbscan_neighbor_table(table, 3);
   ASSERT_EQ(good.num_clusters, 2);
@@ -97,7 +97,7 @@ TEST(CompareClusterings, LabelPermutationIsEquivalent) {
   std::vector<Point2> points;
   for (int i = 0; i < 4; ++i) points.push_back({static_cast<float>(i) * 0.1f, 0});
   for (int i = 0; i < 4; ++i) points.push_back({10.0f + static_cast<float>(i) * 0.1f, 0});
-  const GridIndex index = build_grid_index(points, 0.5f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.5f);
   const NeighborTable table = build_neighbor_table_host(index, 0.5f);
   ClusterResult a = dbscan_neighbor_table(table, 3);
   ASSERT_EQ(a.num_clusters, 2);
@@ -118,7 +118,7 @@ TEST(CompareClusterings, BorderPointMayJoinEitherAdjacentCluster) {
     points.push_back({-0.1f * static_cast<float>(i), 0.0f});
     points.push_back({2.0f + 0.1f * static_cast<float>(i), 0.0f});
   }
-  const GridIndex index = build_grid_index(points, 1.0f);
+  const GridIndex<Point2> index = build_grid_index(points, 1.0f);
   const NeighborTable table = build_neighbor_table_host(index, 1.0f);
   ClusterResult a = dbscan_neighbor_table(table, 4);
   ASSERT_EQ(a.num_clusters, 2);
@@ -159,7 +159,7 @@ TEST(CompareClusterings, RealRunsAcrossSearchOrdersAgree) {
                                                     12.0f, 0.1);
   const float eps = 0.5f;
   const int minpts = 4;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable table = build_neighbor_table_host(index, eps);
   const ClusterResult a = dbscan_neighbor_table(table, minpts);
 

@@ -36,7 +36,7 @@ void expect_tables_equal(const NeighborTable& got, const NeighborTable& want) {
 
 /// Builds T and checks it against the host oracle.
 BuildReport build_and_check(const std::vector<Point2>& points, float eps) {
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable oracle = build_neighbor_table_host(index, eps);
   cudasim::Device dev({}, fast_options());
   BuildReport report;
@@ -70,7 +70,7 @@ TEST(CsrPipeline, OverflowSplitsRecoverWithCsr) {
   // batch splits recursively until everything fits.
   const auto points = data::generate_space_weather(3000, 73);
   const float eps = 0.3f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable oracle = build_neighbor_table_host(index, eps);
   cudasim::Device dev({}, fast_options());
   BatchPolicy policy;

@@ -109,7 +109,7 @@ TEST(Dbscan, GridVariantMatchesRtreeVariant) {
   const float eps = 0.35f;
   const int minpts = 4;
   const auto ref = dbscan_rtree(points, eps, minpts);
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const auto via_grid_indexed = dbscan_grid(index, eps, minpts);
 
   // Map grid-order labels back to input order before comparing.
@@ -122,7 +122,7 @@ TEST(Dbscan, GridVariantMatchesRtreeVariant) {
 
   // Both must be valid DBSCAN results w.r.t. an input-order neighbor
   // table; build one by brute force through the grid.
-  const GridIndex check_index = build_grid_index(points, eps);
+  const GridIndex<Point2> check_index = build_grid_index(points, eps);
   NeighborTable input_order_table(points.size());
   std::vector<PointId> neighbors;
   for (PointId i = 0; i < points.size(); ++i) {
@@ -143,7 +143,7 @@ TEST(Dbscan, NeighborTableVariantMatchesGridVariant) {
   const auto points = data::generate_sky_survey(2500, 9);
   const float eps = 0.4f;
   const int minpts = 5;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable table = build_neighbor_table_host(index, eps);
   const auto a = dbscan_grid(index, eps, minpts);
   const auto b = dbscan_neighbor_table(table, minpts);

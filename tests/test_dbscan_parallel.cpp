@@ -28,7 +28,7 @@ struct Fixture {
   std::vector<Point2> points;
   float eps;
   int minpts;
-  GridIndex index;
+  GridIndex<Point2> index;
   NeighborTable table;
 };
 

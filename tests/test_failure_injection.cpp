@@ -25,7 +25,7 @@ cudasim::SimulationOptions fast_options() {
 
 TEST(FailureInjection, DeviceTooSmallForIndexThrowsOom) {
   const auto points = data::generate_uniform(10000, 1, 10.0f, 10.0f);
-  const GridIndex index = build_grid_index(points, 0.3f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.3f);
   cudasim::DeviceConfig cfg;
   cfg.global_mem_bytes = 16 << 10;  // 16 KiB: not even D fits
   cudasim::Device device(cfg, fast_options());
@@ -40,7 +40,7 @@ TEST(FailureInjection, MultiDeviceTooSmallThrowsOomAndReleasesAll) {
   // drain every stream, release every allocation on every device, and only
   // then surface DeviceOutOfMemory.
   const auto points = data::generate_uniform(10000, 1, 10.0f, 10.0f);
-  const GridIndex index = build_grid_index(points, 0.3f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.3f);
   cudasim::DeviceConfig cfg;
   cfg.global_mem_bytes = 16 << 10;
   cudasim::Device d0(cfg, fast_options());
@@ -55,7 +55,7 @@ TEST(FailureInjection, OneTinyDeviceAmongHealthyDegradesNotFails) {
   // A device that cannot even hold the index is dropped at setup; the
   // healthy one carries the whole build and the table is still exact.
   const auto points = data::generate_uniform(5000, 6, 10.0f, 10.0f);
-  const GridIndex index = build_grid_index(points, 0.3f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.3f);
   cudasim::Device healthy({}, fast_options());
   cudasim::DeviceConfig tiny_cfg;
   tiny_cfg.global_mem_bytes = 16 << 10;
@@ -76,7 +76,7 @@ TEST(FailureInjection, OverflowBeyondSplitDepthThrowsNotCorrupts) {
   // Estimate claims ~nothing; buffers so tiny that even max-depth splits
   // cannot fit a dense clump's neighborhood -> builder must throw.
   std::vector<Point2> points(4000, Point2{1.0f, 1.0f});  // one dense cell
-  const GridIndex index = build_grid_index(points, 0.5f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.5f);
   cudasim::Device device({}, fast_options());
   BatchPolicy policy;
   policy.estimated_total_override = 8;  // absurd: real total is 16M pairs

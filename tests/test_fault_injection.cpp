@@ -50,7 +50,7 @@ void expect_identical(NeighborTable got, NeighborTable want) {
 
 struct Scenario {
   std::vector<Point2> points;
-  GridIndex index;
+  GridIndex<Point2> index;
   NeighborTable oracle;
   float eps = 0.0f;
 };

@@ -175,7 +175,7 @@ TEST(FusedDbscan3, MatchesBatch) {
   cudasim::Device batch_dev({}, fast_options());
   const ClusterResult batch = hybrid_dbscan3(batch_dev, points, 0.4f, 4);
   cudasim::Device dev({}, fast_options());
-  Build3Report report;
+  BuildReport report;
   const ClusterResult fused = fused_dbscan3(dev, points, 0.4f, 4, &report);
   EXPECT_EQ(fused.labels, batch.labels);
   EXPECT_EQ(fused.num_clusters, batch.num_clusters);
@@ -219,7 +219,7 @@ TEST(FusedDbscan3, DenseClumpsAndMinptsSweep) {
 
 struct Scenario {
   std::vector<Point2> points;
-  GridIndex index;
+  GridIndex<Point2> index;
   NeighborTable oracle;  ///< full table, index point order
   std::vector<std::int32_t> want;  ///< batch labels, index point order
   float eps = 0.0f;

@@ -53,9 +53,9 @@ TEST(Generators, SpaceWeatherIsMoreSkewedThanSkySurvey) {
   const float eps = 0.25f;
   data::SpaceWeatherParams swp;  // same 35x35 default domain for both
   data::SkySurveyParams ssp;
-  const GridIndex sw =
+  const GridIndex<Point2> sw =
       build_grid_index(data::generate_space_weather(n, 7, swp), eps);
-  const GridIndex sdss =
+  const GridIndex<Point2> sdss =
       build_grid_index(data::generate_sky_survey(n, 8, ssp), eps);
   EXPECT_GT(sw.max_cell_occupancy, 4 * sdss.max_cell_occupancy);
   // ... and spreads over fewer non-empty cells.

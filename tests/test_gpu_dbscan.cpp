@@ -32,7 +32,7 @@ TEST_P(GpuDbscanSweep, EquivalentToSequentialDbscan) {
                                               {.width = 10.0f, .height = 10.0f})
                   : data::generate_space_weather(
                         n, 96, {.width = 10.0f, .height = 10.0f});
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable table = build_neighbor_table_host(index, eps);
 
   cudasim::Device device({}, fast_options());
@@ -62,7 +62,7 @@ TEST(GpuDbscan, CorePointCountMatchesTable) {
       1500, 97, {.width = 8.0f, .height = 8.0f});
   const float eps = 0.4f;
   const int minpts = 6;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable table = build_neighbor_table_host(index, eps);
   std::uint64_t expected_cores = 0;
   for (PointId i = 0; i < table.num_points(); ++i) {
@@ -84,7 +84,7 @@ TEST(GpuDbscan, ChainTopologyConvergesInFewIterations) {
   for (int i = 0; i < 4000; ++i) {
     points.push_back({0.09f * static_cast<float>(i), 0.0f});
   }
-  const GridIndex index = build_grid_index(points, 0.1f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.1f);
   cudasim::Device device({}, fast_options());
   gpu::GpuDbscanReport report;
   const ClusterResult r = gpu_dbscan(device, index, 0.1f, 2, &report);
@@ -96,7 +96,7 @@ TEST(GpuDbscan, ChainTopologyConvergesInFewIterations) {
 
 TEST(GpuDbscan, AllNoise) {
   const auto points = data::generate_uniform(300, 98, 100.0f, 100.0f);
-  const GridIndex index = build_grid_index(points, 0.1f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.1f);
   cudasim::Device device({}, fast_options());
   const ClusterResult r = gpu::gpu_dbscan(device, index, 0.1f, 5);
   EXPECT_EQ(r.num_clusters, 0);
@@ -105,7 +105,7 @@ TEST(GpuDbscan, AllNoise) {
 
 TEST(GpuDbscan, DeviceMemoryReleased) {
   const auto points = data::generate_uniform(2000, 99, 10.0f, 10.0f);
-  const GridIndex index = build_grid_index(points, 0.3f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.3f);
   cudasim::Device device({}, fast_options());
   gpu::gpu_dbscan(device, index, 0.3f, 4);
   EXPECT_EQ(device.used_global_bytes(), 0u);

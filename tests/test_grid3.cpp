@@ -15,8 +15,8 @@
 #include "cudasim/buffer_pool.hpp"
 #include "dbscan/cluster_compare.hpp"
 #include "dbscan/dbscan.hpp"
-#include "gpu/kernels3.hpp"
-#include "index/grid_index3.hpp"
+#include "gpu/kernels.hpp"
+#include "index/grid_index.hpp"
 
 namespace hdbscan {
 namespace {
@@ -79,8 +79,9 @@ std::vector<PointId> brute3(std::span<const Point3> pts, const Point3& q,
 
 TEST(GridIndex3, RejectsBadInput) {
   const std::vector<Point3> points{{0, 0, 0}};
-  EXPECT_THROW(build_grid_index3({}, 1.0f), std::invalid_argument);
-  EXPECT_THROW(build_grid_index3(points, -0.5f), std::invalid_argument);
+  EXPECT_THROW(build_grid_index(std::span<const Point3>{}, 1.0f),
+               std::invalid_argument);
+  EXPECT_THROW(build_grid_index(points, -0.5f), std::invalid_argument);
 
   // 40 lattice points plus one coordinate no cell can hold, on each axis:
   // non-finite input is named by its input id, a 1e30-wide extent is
@@ -99,7 +100,7 @@ TEST(GridIndex3, RejectsBadInput) {
       (axis == 0 ? p.x : (axis == 1 ? p.y : p.z)) = bad;
       lattice.push_back(p);
       try {
-        (void)build_grid_index3(lattice, 0.15f);
+        (void)build_grid_index(lattice, 0.15f);
         ADD_FAILURE() << "accepted coordinate " << bad << " on axis " << axis;
       } catch (const std::invalid_argument& e) {
         const std::string what = e.what();
@@ -115,7 +116,7 @@ TEST(GridIndex3, RejectsBadInput) {
 
 TEST(GridIndex3, LookupIsPermutation) {
   const auto points = random_points3(3000, 1, 5.0f);
-  const GridIndex3 g = build_grid_index3(points, 0.4f);
+  const GridIndex<Point3> g = build_grid_index(points, 0.4f);
   std::vector<PointId> sorted(g.lookup.begin(), g.lookup.end());
   std::sort(sorted.begin(), sorted.end());
   for (PointId i = 0; i < sorted.size(); ++i) EXPECT_EQ(sorted[i], i);
@@ -137,20 +138,20 @@ TEST(GridIndex3, LookupIsPermutation) {
 }
 
 TEST(NeighborCells3, InteriorCellHas27) {
-  GridParams3 p{0, 0, 0, 1.0f, 5, 5, 5};
+  GridParams<Point3> p{{0, 0, 0}, 1.0f, {5, 5, 5}};
   std::array<std::uint32_t, 27> out{};
   // Center cell of the 5x5x5 grid: (2,2,2) -> (2*5+2)*5+2 = 62.
-  EXPECT_EQ(get_neighbor_cells3(p, 62, out), 27u);
+  EXPECT_EQ(get_neighbor_cells(p, 62, out), 27u);
   std::set<std::uint32_t> cells(out.begin(), out.begin() + 27);
   EXPECT_EQ(cells.size(), 27u);
   EXPECT_TRUE(cells.count(62));
 }
 
 TEST(NeighborCells3, CornerCellHasEight) {
-  GridParams3 p{0, 0, 0, 1.0f, 5, 5, 5};
+  GridParams<Point3> p{{0, 0, 0}, 1.0f, {5, 5, 5}};
   std::array<std::uint32_t, 27> out{};
-  EXPECT_EQ(get_neighbor_cells3(p, 0, out), 8u);
-  EXPECT_EQ(get_neighbor_cells3(p, 124, out), 8u);  // far corner
+  EXPECT_EQ(get_neighbor_cells(p, 0, out), 8u);
+  EXPECT_EQ(get_neighbor_cells(p, 124, out), 8u);  // far corner
 }
 
 class Grid3QueryProperty : public ::testing::TestWithParam<float> {};
@@ -158,10 +159,10 @@ class Grid3QueryProperty : public ::testing::TestWithParam<float> {};
 TEST_P(Grid3QueryProperty, MatchesBruteForce) {
   const float eps = GetParam();
   const auto points = blobs3(1200, 7, 5, 0.3f, 4.0f, 0.2);
-  const GridIndex3 g = build_grid_index3(points, eps);
+  const GridIndex<Point3> g = build_grid_index(points, eps);
   std::vector<PointId> got;
   for (PointId q = 0; q < g.size(); q += 31) {
-    grid_query3(g, g.points[q], eps, got);
+    grid_query(g, g.points[q], eps, got);
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, brute3(g.points, g.points[q], eps)) << "q=" << q;
   }
@@ -174,12 +175,12 @@ TEST(Kernels3, GlobalKernelMatchesHostQueries) {
   // The kernel emits forward rows: every cross pair once, self pairs once.
   const auto points = blobs3(1500, 8, 4, 0.25f, 4.0f, 0.2);
   const float eps = 0.35f;
-  const GridIndex3 index = build_grid_index3(points, eps);
-  const NeighborTable oracle = build_neighbor_table_host3(index, eps);
+  const GridIndex<Point3> index = build_grid_index(points, eps);
+  const NeighborTable oracle = build_neighbor_table_host(index, eps);
 
   cudasim::Device dev({}, fast_options());
   gpu::ResultSetDevice sink(dev, oracle.total_pairs() + 16);
-  gpu::run_calc_global3(dev, GridView3::of(index), eps, {}, sink.view());
+  gpu::run_calc_global(dev, GridView<Point3>::of(index), eps, {}, sink.view());
   ASSERT_FALSE(sink.overflowed());
   EXPECT_EQ(sink.count(), (oracle.total_pairs() + index.size()) / 2);
 
@@ -191,7 +192,7 @@ TEST(Kernels3, GlobalKernelMatchesHostQueries) {
   std::vector<NeighborPair> expected;
   std::vector<PointId> row;
   for (PointId i = 0; i < index.size(); ++i) {
-    grid_query3_forward(index, i, eps, row);
+    grid_query_forward(index, i, eps, row);
     for (const PointId v : row) expected.push_back({i, v});
   }
   std::sort(expected.begin(), expected.end());
@@ -201,15 +202,15 @@ TEST(Kernels3, GlobalKernelMatchesHostQueries) {
 TEST(Kernels3, BatchedUnionEqualsUnbatched) {
   const auto points = blobs3(1000, 9, 3, 0.3f, 4.0f, 0.3);
   const float eps = 0.4f;
-  const GridIndex3 index = build_grid_index3(points, eps);
-  const NeighborTable oracle = build_neighbor_table_host3(index, eps);
+  const GridIndex<Point3> index = build_grid_index(points, eps);
+  const NeighborTable oracle = build_neighbor_table_host(index, eps);
   cudasim::Device dev({}, fast_options());
   std::vector<NeighborPair> all;
   const std::uint32_t nb = 5;
   for (std::uint32_t l = 0; l < nb; ++l) {
     gpu::ResultSetDevice sink(dev, oracle.total_pairs() + 16);
-    gpu::run_calc_global3(dev, GridView3::of(index), eps, {l, nb},
-                          sink.view());
+    gpu::run_calc_global(dev, GridView<Point3>::of(index), eps, {l, nb},
+                         sink.view());
     auto view = sink.pairs().unsafe_host_view();
     all.insert(all.end(), view.begin(),
                view.begin() + static_cast<std::ptrdiff_t>(sink.count()));
@@ -220,10 +221,10 @@ TEST(Kernels3, BatchedUnionEqualsUnbatched) {
 TEST(Kernels3, CountCensusMatchesOracle) {
   const auto points = random_points3(1500, 10, 4.0f);
   const float eps = 0.3f;
-  const GridIndex3 index = build_grid_index3(points, eps);
-  const NeighborTable oracle = build_neighbor_table_host3(index, eps);
+  const GridIndex<Point3> index = build_grid_index(points, eps);
+  const NeighborTable oracle = build_neighbor_table_host(index, eps);
   cudasim::Device dev({}, fast_options());
-  EXPECT_EQ(gpu::run_count_kernel3(dev, GridView3::of(index), eps, 1),
+  EXPECT_EQ(gpu::run_count_kernel(dev, GridView<Point3>::of(index), eps, 1),
             oracle.total_pairs());
 }
 
@@ -254,7 +255,7 @@ TEST(HybridDbscan3, EquivalentToBruteForceDbscan) {
   const float eps = 0.35f;
   const int minpts = 6;
   cudasim::Device dev({}, fast_options());
-  Build3Report report;
+  BuildReport report;
   const ClusterResult hybrid =
       hybrid_dbscan3(dev, points, eps, minpts, &report);
   EXPECT_GT(report.total_pairs, 0u);

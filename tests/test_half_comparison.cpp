@@ -13,7 +13,6 @@
 #include "core/neighbor_table_builder.hpp"
 #include "data/generators.hpp"
 #include "index/grid_index.hpp"
-#include "index/grid_index3.hpp"
 
 namespace hdbscan {
 namespace {
@@ -38,7 +37,7 @@ void expect_identical(NeighborTable got, NeighborTable want) {
 /// host oracle after canonicalization.
 void expect_matches_host(const std::vector<Point2>& points, float eps,
                          bool use_shared = false) {
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   BatchPolicy policy;
   policy.use_shared_kernel = use_shared;
   cudasim::Device dev({}, fast_options());
@@ -109,7 +108,7 @@ TEST(HalfComparison, HostStridedForwardShardsExpandToFullTable) {
   // expanded they must equal the full host table.
   const auto points = data::generate_uniform(1500, 7, 6.0f, 6.0f);
   const float eps = 0.3f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   NeighborTable merged(index.size());
   const std::uint32_t stride = 3;
   for (std::uint32_t first = 0; first < stride; ++first) {
@@ -131,16 +130,16 @@ TEST(HalfComparison, Device3MatchesHostAndIsDeterministic) {
   // Duplicate-coordinate clump in 3-D too.
   for (int i = 0; i < 30; ++i) points.push_back({1.5f, 1.5f, 1.5f});
   const float eps = 0.4f;
-  const GridIndex3 index = build_grid_index3(points, eps);
+  const GridIndex<Point3> index = build_grid_index(points, eps);
 
   cudasim::Device dev({}, fast_options());
   NeighborTable first = build_neighbor_table_device3(dev, index, eps);
   cudasim::Device dev2({}, fast_options());
   NeighborTable again = build_neighbor_table_device3(dev2, index, eps);
   expect_identical(std::move(first),
-                   build_neighbor_table_host3(index, eps));
+                   build_neighbor_table_host(index, eps));
   expect_identical(std::move(again),
-                   build_neighbor_table_host3(index, eps));
+                   build_neighbor_table_host(index, eps));
 }
 
 TEST(HalfComparison, HalfScanRoughlyHalvesDistanceFlops) {
@@ -151,7 +150,7 @@ TEST(HalfComparison, HalfScanRoughlyHalvesDistanceFlops) {
   // keep it above that), and still produce the full table.
   const auto points = data::generate_uniform(6000, 5, 8.0f, 8.0f);
   const float eps = 0.3f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
 
   // A full-row build tests every candidate of the 9-cell stencil in both
   // the count and the fill pass, at 6 FLOPs per test.

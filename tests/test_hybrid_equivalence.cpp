@@ -28,7 +28,7 @@ cudasim::SimulationOptions fast_options() {
 
 /// Builds an input-order neighbor table (oracle for the comparator).
 NeighborTable input_order_table(std::span<const Point2> points, float eps) {
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   NeighborTable table(points.size());
   std::vector<PointId> neighbors;
   std::vector<NeighborPair> pairs;
@@ -121,7 +121,7 @@ TEST(HybridDbscan, ReusedTableMatchesFreshRunsAcrossMinpts) {
   const float eps = 0.4f;
   cudasim::Device dev({}, fast_options());
 
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   NeighborTableBuilder builder(dev);
   const NeighborTable table = builder.build(index, eps);
   const NeighborTable oracle = input_order_table(points, eps);

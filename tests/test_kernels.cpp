@@ -39,7 +39,8 @@ std::vector<NeighborPair> sink_pairs(gpu::ResultSetDevice& sink) {
 }
 
 /// Oracle pair list from the host-side neighbor table.
-std::vector<NeighborPair> oracle_pairs(const GridIndex& index, float eps) {
+std::vector<NeighborPair> oracle_pairs(const GridIndex<Point2>& index,
+                                       float eps) {
   const NeighborTable table = build_neighbor_table_host(index, eps);
   std::vector<NeighborPair> pairs;
   pairs.reserve(table.total_pairs());
@@ -51,7 +52,7 @@ std::vector<NeighborPair> oracle_pairs(const GridIndex& index, float eps) {
 }
 
 /// Forward-row oracle (grid_query_forward), the global kernel's output.
-std::vector<NeighborPair> forward_oracle_pairs(const GridIndex& index,
+std::vector<NeighborPair> forward_oracle_pairs(const GridIndex<Point2>& index,
                                                float eps) {
   std::vector<NeighborPair> pairs;
   std::vector<PointId> row;
@@ -74,7 +75,7 @@ std::vector<NeighborPair> symmetrize(const std::vector<NeighborPair>& fwd) {
 }
 
 struct KernelTestData {
-  GridIndex index;
+  GridIndex<Point2> index;
   std::vector<NeighborPair> expected;  ///< full table
   std::vector<NeighborPair> forward;   ///< forward rows
   float eps;
@@ -102,7 +103,8 @@ TEST_P(KernelProperty, GlobalKernelMatchesHostOracle) {
   cudasim::Device dev({}, fast_options());
   gpu::ResultSetDevice sink(dev, d.expected.size() + 16);
   const auto stats =
-      gpu::run_calc_global(dev, GridView::of(d.index), d.eps, {}, sink.view());
+      gpu::run_calc_global(dev, GridView<Point2>::of(d.index), d.eps, {},
+                           sink.view());
   const std::vector<NeighborPair> got = sink_pairs(sink);
   EXPECT_EQ(got, d.forward);
   EXPECT_EQ(symmetrize(got), d.expected);
@@ -117,7 +119,7 @@ TEST_P(KernelProperty, SharedKernelMatchesGlobalKernel) {
   cudasim::Device dev({}, fast_options());
   gpu::ResultSetDevice sink(dev, d.expected.size() + 16);
   const auto stats = gpu::run_calc_shared(
-      dev, GridView::of(d.index), d.index.nonempty_cells.data(),
+      dev, GridView<Point2>::of(d.index), d.index.nonempty_cells.data(),
       static_cast<std::uint32_t>(d.index.nonempty_cells.size()), d.eps,
       sink.view());
   EXPECT_EQ(sink_pairs(sink), d.expected);
@@ -139,7 +141,7 @@ TEST_P(BatchedKernel, UnionOfBatchesEqualsUnbatched) {
   std::vector<NeighborPair> all;
   for (std::uint32_t l = 0; l < nb; ++l) {
     gpu::ResultSetDevice sink(dev, d.expected.size() + 16);
-    gpu::run_calc_global(dev, GridView::of(d.index), d.eps, {l, nb},
+    gpu::run_calc_global(dev, GridView<Point2>::of(d.index), d.eps, {l, nb},
                          sink.view());
     const auto batch = sink_pairs(sink);
     // Strided assignment: batch l must contain exactly keys == l (mod nb).
@@ -162,7 +164,7 @@ TEST(BatchedKernel, BatchSizesAreBalanced) {
   std::vector<std::uint64_t> sizes;
   for (std::uint32_t l = 0; l < nb; ++l) {
     gpu::ResultSetDevice sink(dev, d.expected.size() + 16);
-    gpu::run_calc_global(dev, GridView::of(d.index), d.eps, {l, nb},
+    gpu::run_calc_global(dev, GridView<Point2>::of(d.index), d.eps, {l, nb},
                          sink.view());
     sizes.push_back(sink.count());
   }
@@ -178,7 +180,8 @@ TEST(ResultSink, OverflowFlagRaisedNotCorrupted) {
   ASSERT_GT(d.expected.size(), 100u);
   cudasim::Device dev({}, fast_options());
   gpu::ResultSetDevice sink(dev, 50);  // deliberately too small
-  gpu::run_calc_global(dev, GridView::of(d.index), d.eps, {}, sink.view());
+  gpu::run_calc_global(dev, GridView<Point2>::of(d.index), d.eps, {},
+                       sink.view());
   EXPECT_TRUE(sink.overflowed());
   EXPECT_GT(sink.count(), 50u);  // counter keeps counting
   // reset clears the state for the next batch.
@@ -270,12 +273,13 @@ TEST(GlobalKernel, StagedReservationCutsAtomics) {
   // atomic ops than pairs produced.
   const auto points = data::generate_uniform(4000, 75, 10.0f, 10.0f);
   const float eps = 0.4f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const std::vector<NeighborPair> expected = forward_oracle_pairs(index, eps);
   cudasim::Device dev({}, fast_options());
   gpu::ResultSetDevice sink(dev, expected.size() + 16);
   const auto stats =
-      gpu::run_calc_global(dev, GridView::of(index), eps, {}, sink.view());
+      gpu::run_calc_global(dev, GridView<Point2>::of(index), eps, {},
+                           sink.view());
   EXPECT_EQ(sink_pairs(sink), expected);
   ASSERT_GT(stats.work.atomic_ops, 0u);
   EXPECT_GE(expected.size() / stats.work.atomic_ops, 10u);
@@ -285,7 +289,7 @@ TEST(CountKernel, FullCensusEqualsTotalPairs) {
   const KernelTestData d = make_data(2, 0.3f);
   cudasim::Device dev({}, fast_options());
   const std::uint64_t counted =
-      gpu::run_count_kernel(dev, GridView::of(d.index), d.eps, 1);
+      gpu::run_count_kernel(dev, GridView<Point2>::of(d.index), d.eps, 1);
   EXPECT_EQ(counted, d.expected.size());
 }
 
@@ -293,9 +297,9 @@ TEST(CountKernel, StridedSampleCountsSubset) {
   const KernelTestData d = make_data(0, 0.3f);
   cudasim::Device dev({}, fast_options());
   const std::uint64_t full =
-      gpu::run_count_kernel(dev, GridView::of(d.index), d.eps, 1);
+      gpu::run_count_kernel(dev, GridView<Point2>::of(d.index), d.eps, 1);
   const std::uint64_t sampled =
-      gpu::run_count_kernel(dev, GridView::of(d.index), d.eps, 10);
+      gpu::run_count_kernel(dev, GridView<Point2>::of(d.index), d.eps, 10);
   EXPECT_LT(sampled, full);
   EXPECT_GT(sampled, 0u);
   // Uniform data: the 10% sample extrapolates to ~the full census.
@@ -311,13 +315,14 @@ TEST(SharedKernel, HandlesCellsLargerThanBlock) {
   for (int i = 0; i < 300; ++i) {
     points.push_back({rng.uniform(0.0f, 0.2f), rng.uniform(0.0f, 0.2f)});
   }
-  const GridIndex index = build_grid_index(points, 0.5f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.5f);
   ASSERT_EQ(index.nonempty_cells.size(), 1u);
   ASSERT_EQ(index.max_cell_occupancy, 300u);
   cudasim::Device dev({}, fast_options());
   const std::uint64_t expected_pairs = 300ull * 300ull;  // all within eps
   gpu::ResultSetDevice sink(dev, expected_pairs + 16);
-  gpu::run_calc_shared(dev, GridView::of(index), index.nonempty_cells.data(),
+  gpu::run_calc_shared(dev, GridView<Point2>::of(index),
+                       index.nonempty_cells.data(),
                        1, 0.5f, sink.view(), /*block_size=*/32);
   EXPECT_FALSE(sink.overflowed());
   EXPECT_EQ(sink.count(), expected_pairs);
@@ -335,7 +340,7 @@ TEST(SharedKernel, SubsetScheduleProcessesOnlyThoseCells) {
   ASSERT_GT(half, 0u);
   cudasim::Device dev({}, fast_options());
   gpu::ResultSetDevice sink(dev, d.expected.size() + 16);
-  gpu::run_calc_shared(dev, GridView::of(d.index),
+  gpu::run_calc_shared(dev, GridView<Point2>::of(d.index),
                        d.index.nonempty_cells.data(), half, d.eps,
                        sink.view());
   std::vector<bool> scheduled_cell(d.index.cells.size(), false);
@@ -359,10 +364,11 @@ TEST(GlobalKernel, ModeledTimeBeatsSharedOnUniformData) {
   cudasim::Device dev({}, fast_options());
   gpu::ResultSetDevice sink_a(dev, d.expected.size() + 16);
   const auto global_stats =
-      gpu::run_calc_global(dev, GridView::of(d.index), d.eps, {}, sink_a.view());
+      gpu::run_calc_global(dev, GridView<Point2>::of(d.index), d.eps, {},
+                           sink_a.view());
   gpu::ResultSetDevice sink_b(dev, d.expected.size() + 16);
   const auto shared_stats = gpu::run_calc_shared(
-      dev, GridView::of(d.index), d.index.nonempty_cells.data(),
+      dev, GridView<Point2>::of(d.index), d.index.nonempty_cells.data(),
       static_cast<std::uint32_t>(d.index.nonempty_cells.size()), d.eps,
       sink_b.view());
   EXPECT_LT(global_stats.modeled_seconds, shared_stats.modeled_seconds);

@@ -42,7 +42,7 @@ TEST_P(MultiDevice, MatchesHostOracle) {
   const auto points = data::generate_space_weather(
       3000, 101, {.width = 10.0f, .height = 10.0f});
   const float eps = 0.35f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable oracle = build_neighbor_table_host(index, eps);
 
   std::vector<std::unique_ptr<cudasim::Device>> devices;
@@ -79,7 +79,7 @@ TEST(MultiDeviceBuilder, ModeledTimeImprovesWithDevices) {
   const auto points = data::generate_sky_survey(
       20000, 102, {.width = 12.0f, .height = 12.0f});
   const float eps = 0.4f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
 
   // Min of three trials per device count: the model folds in measured
   // host CPU (staging appends), so a descheduled thread on a loaded CI
@@ -109,7 +109,7 @@ TEST(MultiDeviceBuilder, ModeledTimeImprovesWithDevices) {
 
 TEST(MultiDeviceBuilder, DeviceMemoryReleasedOnAll) {
   const auto points = data::generate_uniform(2000, 103, 8.0f, 8.0f);
-  const GridIndex index = build_grid_index(points, 0.3f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.3f);
   std::vector<std::unique_ptr<cudasim::Device>> devices;
   std::vector<cudasim::Device*> ptrs;
   for (int d = 0; d < 3; ++d) {

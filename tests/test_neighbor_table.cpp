@@ -65,7 +65,7 @@ TEST(NeighborTable, RejectsKeyInTwoBatches) {
 TEST(NeighborTable, HostBuildMatchesGridQueries) {
   const auto points = data::generate_sky_survey(2500, 21);
   const float eps = 0.4f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable table = build_neighbor_table_host(index, eps);
   EXPECT_EQ(table.num_points(), index.size());
 
@@ -84,7 +84,7 @@ TEST(NeighborTable, HostBuildMatchesGridQueries) {
 
 TEST(NeighborTable, TotalPairsMatchesSumOfCounts) {
   const auto points = data::generate_space_weather(1500, 22);
-  const GridIndex index = build_grid_index(points, 0.3f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.3f);
   const NeighborTable table = build_neighbor_table_host(index, 0.3f);
   std::uint64_t sum = 0;
   for (PointId i = 0; i < table.num_points(); ++i) {
@@ -96,7 +96,7 @@ TEST(NeighborTable, TotalPairsMatchesSumOfCounts) {
 TEST(NeighborTable, SymmetricNeighborhoods) {
   // j in N(i) <=> i in N(j) (Euclidean distance is symmetric).
   const auto points = data::generate_uniform(800, 23, 5.0f, 5.0f);
-  const GridIndex index = build_grid_index(points, 0.5f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.5f);
   const NeighborTable table = build_neighbor_table_host(index, 0.5f);
   for (PointId i = 0; i < table.num_points(); ++i) {
     for (const PointId j : table.neighbors(i)) {
@@ -110,7 +110,7 @@ TEST(NeighborTable, SymmetricNeighborhoods) {
 TEST(NeighborTable, ParallelHostBuildEqualsSequential) {
   const auto points = data::generate_space_weather(3000, 24);
   const float eps = 0.35f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable sequential = build_neighbor_table_host(index, eps);
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     const NeighborTable parallel =

@@ -28,7 +28,7 @@ struct OpticsFixture {
   std::vector<Point2> points;
   float eps;
   int minpts;
-  GridIndex index;
+  GridIndex<Point2> index;
   NeighborTable table;
   OpticsResult result;
 };
@@ -101,7 +101,7 @@ TEST_P(OpticsExtractSweep, MatchesDbscanCoresAtSmallerEps) {
       extract_dbscan_clustering(f.result, eps_prime);
 
   // Reference DBSCAN at eps'.
-  const GridIndex index_p = build_grid_index(f.points, eps_prime);
+  const GridIndex<Point2> index_p = build_grid_index(f.points, eps_prime);
   const NeighborTable table_p = build_neighbor_table_host(index_p, eps_prime);
   const ClusterResult ref_indexed = dbscan_neighbor_table(table_p, f.minpts);
 

@@ -25,7 +25,7 @@ std::vector<Variant> test_variants() {
 }
 
 NeighborTable input_order_table(std::span<const Point2> points, float eps) {
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   NeighborTable table(points.size());
   std::vector<PointId> neighbors;
   std::vector<NeighborPair> pairs;

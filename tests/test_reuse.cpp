@@ -22,7 +22,7 @@ cudasim::SimulationOptions fast_options() {
 }
 
 NeighborTable input_order_table(std::span<const Point2> points, float eps) {
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   NeighborTable table(points.size());
   std::vector<PointId> neighbors;
   std::vector<NeighborPair> pairs;

@@ -360,7 +360,7 @@ TEST(ClusterServiceTest, CalibrationWithoutADeviceCountsHostSample) {
   EXPECT_TRUE(dev0.lost());
   EXPECT_TRUE(dev1.lost());
 
-  const GridIndex index = build_grid_index(points, ref_eps);
+  const GridIndex<Point2> index = build_grid_index(points, ref_eps);
   const NeighborTable oracle = build_neighbor_table_host(index, ref_eps);
   std::uint64_t sampled = 0;
   for (PointId i = 0; i < oracle.num_points(); i += 16) {
@@ -488,7 +488,7 @@ TEST(ClusterServiceTest, CacheHitLabelsBitIdenticalAcrossMinpts) {
 
   // The host oracle's canonicalized table clusters to the same labels
   // (returned in input order), matched by minpts.
-  const GridIndex index = build_grid_index(f.points, 0.5f);
+  const GridIndex<Point2> index = build_grid_index(f.points, 0.5f);
   NeighborTable oracle = build_neighbor_table_host(index, 0.5f);
   oracle.canonicalize();
   for (const auto& [minpts, got] :
@@ -547,7 +547,7 @@ TEST(ClusterServiceTest, CoalescedCacheGroupSharesLabelsPerMinpts) {
   }
   // One DBSCAN run per distinct minpts serves the group; each job still
   // gets the clustering of its own minpts.
-  const GridIndex index = build_grid_index(f.points, 0.5f);
+  const GridIndex<Point2> index = build_grid_index(f.points, 0.5f);
   NeighborTable oracle = build_neighbor_table_host(index, 0.5f);
   oracle.canonicalize();
   for (const std::size_t i : {0u, 1u, 2u}) {

@@ -60,7 +60,7 @@ Fleet make_fleet(int n) {
 
 struct Scenario {
   std::vector<Point2> points;
-  GridIndex index;
+  GridIndex<Point2> index;
   NeighborTable oracle;  ///< full symmetric table, index point order
   float eps = 0.0f;
 };
@@ -149,13 +149,13 @@ TEST(ShardPlanner, SingleShardIsTheWholeGridWithoutGhosts) {
 
 TEST(ShardPlanner, ClampsToRowCountAndRejectsBadInput) {
   const Scenario s = make_scenario(600, 0.3f, 13);
-  const std::uint32_t rows = s.index.params.cells_y;
+  const std::uint32_t rows = s.index.params.shape[1];
   const ShardPlan plan = plan_shards(s.index, rows * 4);
   EXPECT_LE(plan.shards.size(), rows);
 
   EXPECT_THROW(plan_shards(s.index, 2, 3, 3), std::invalid_argument);
   EXPECT_THROW(plan_shards(s.index, 2, 0, rows + 1), std::invalid_argument);
-  GridIndex already_shard = plan.shards.front().index;
+  GridIndex<Point2> already_shard = plan.shards.front().index;
   EXPECT_THROW(plan_shards(already_shard, 2), std::invalid_argument);
 }
 

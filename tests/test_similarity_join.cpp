@@ -39,7 +39,7 @@ TEST(SimilarityJoin, MatchesBruteForceCrossDatasets) {
   const auto queries =
       data::generate_uniform(500, 62, 8.0f, 8.0f);
   const float eps = 0.4f;
-  const GridIndex index = build_grid_index(data_pts, eps);
+  const GridIndex<Point2> index = build_grid_index(data_pts, eps);
   cudasim::Device device({}, fast_options());
 
   JoinResult result = similarity_join(device, queries, index, eps);
@@ -55,7 +55,7 @@ TEST(SimilarityJoin, SelfJoinEqualsNeighborTable) {
   const auto points = data::generate_space_weather(
       1500, 63, {.width = 8.0f, .height = 8.0f});
   const float eps = 0.3f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable table = build_neighbor_table_host(index, eps);
   cudasim::Device device({}, fast_options());
 
@@ -74,7 +74,7 @@ TEST(SimilarityJoin, SelfJoinEqualsNeighborTable) {
 TEST(SimilarityJoin, QueriesOutsideExtentHandled) {
   const auto points = data::generate_uniform(500, 64, 4.0f, 4.0f);
   const float eps = 0.5f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   // Queries straddling and far beyond the boundary.
   const std::vector<Point2> queries{{-0.2f, 2.0f}, {4.3f, 2.0f},
                                     {2.0f, -0.2f}, {2.0f, 4.4f},
@@ -89,7 +89,7 @@ TEST(SimilarityJoin, QueriesOutsideExtentHandled) {
 
 TEST(SimilarityJoin, EmptyQueries) {
   const auto points = data::generate_uniform(100, 65, 2.0f, 2.0f);
-  const GridIndex index = build_grid_index(points, 0.2f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.2f);
   cudasim::Device device({}, fast_options());
   const JoinResult result = similarity_join(device, {}, index, 0.2f);
   EXPECT_TRUE(result.pairs.empty());
@@ -97,7 +97,7 @@ TEST(SimilarityJoin, EmptyQueries) {
 
 TEST(SimilarityJoin, RejectsEpsBeyondCellWidth) {
   const auto points = data::generate_uniform(100, 66, 2.0f, 2.0f);
-  const GridIndex index = build_grid_index(points, 0.2f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.2f);
   cudasim::Device device({}, fast_options());
   const std::vector<Point2> queries{{1.0f, 1.0f}};
   EXPECT_THROW((void)similarity_join(device, queries, index, 0.5f),
@@ -127,7 +127,7 @@ TEST_P(KnnSweep, MatchesBruteForceDistances) {
   const unsigned k = GetParam();
   const auto points = data::generate_space_weather(
       2000, 67, {.width = 8.0f, .height = 8.0f});
-  const GridIndex index = build_grid_index(points, 0.25f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.25f);
   Xoshiro256 rng(68);
   for (int trial = 0; trial < 20; ++trial) {
     const Point2 q{rng.uniform(0.0f, 8.0f), rng.uniform(0.0f, 8.0f)};
@@ -146,7 +146,7 @@ INSTANTIATE_TEST_SUITE_P(Ks, KnnSweep, ::testing::Values(1u, 5u, 32u, 200u));
 
 TEST(Knn, KLargerThanDatasetReturnsAll) {
   const auto points = data::generate_uniform(50, 69, 2.0f, 2.0f);
-  const GridIndex index = build_grid_index(points, 0.3f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.3f);
   const auto got = knn_search(index, {1.0f, 1.0f}, 500);
   EXPECT_EQ(got.size(), 50u);
   for (std::size_t i = 1; i < got.size(); ++i) {
@@ -156,7 +156,7 @@ TEST(Knn, KLargerThanDatasetReturnsAll) {
 
 TEST(Knn, ZeroKIsEmpty) {
   const auto points = data::generate_uniform(50, 70, 2.0f, 2.0f);
-  const GridIndex index = build_grid_index(points, 0.3f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.3f);
   EXPECT_TRUE(knn_search(index, {1.0f, 1.0f}, 0).empty());
 }
 

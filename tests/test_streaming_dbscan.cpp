@@ -41,7 +41,7 @@ cudasim::SimulationOptions faulted_options(cudasim::FaultPlan plan) {
 
 struct Scenario {
   std::vector<Point2> points;
-  GridIndex index;
+  GridIndex<Point2> index;
   NeighborTable oracle;  ///< full symmetric table, index point order
   float eps = 0.0f;
 };
@@ -224,7 +224,7 @@ TEST(StreamingDbscan, HybridStreamingModeMatchesBatchMode) {
 
   // Labels are in input order on both paths; compare over an input-order
   // oracle table.
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   NeighborTable oracle(points.size());
   {
     std::vector<PointId> neighbors;
@@ -260,7 +260,7 @@ TEST(StreamingDbscan, ReuseSweepStreamsAllMinpts) {
 
   EXPECT_FALSE(batch.streamed);
   EXPECT_TRUE(stream.streamed);
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   for (std::size_t i = 0; i < minpts.size(); ++i) {
     EXPECT_TRUE(stream.outcomes[i].ok);
     EXPECT_EQ(stream.variant_clusters[i], batch.variant_clusters[i]);
@@ -317,7 +317,7 @@ TEST(StreamingDbscan, PipelineStreamingModeMatchesBatchMode) {
     EXPECT_TRUE(stream.variants[i].streamed) << "variant " << i;
     EXPECT_EQ(stream.variants[i].num_clusters, batch.variants[i].num_clusters);
     EXPECT_EQ(stream.variants[i].noise_count, batch.variants[i].noise_count);
-    const GridIndex index = build_grid_index(points, variants[i].eps);
+    const GridIndex<Point2> index = build_grid_index(points, variants[i].eps);
     NeighborTable oracle(points.size());
     std::vector<PointId> neighbors;
     std::vector<NeighborPair> pairs;

@@ -38,7 +38,7 @@ void expect_tables_equal(const NeighborTable& got, const NeighborTable& want) {
 TEST(TableBuilder, MatchesHostOracleDefaultPolicy) {
   const auto points = data::generate_space_weather(4000, 51);
   const float eps = 0.3f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable oracle = build_neighbor_table_host(index, eps);
   cudasim::Device dev({}, fast_options());
   BuildReport report;
@@ -60,7 +60,7 @@ class TableBuilderStreams : public ::testing::TestWithParam<unsigned> {};
 TEST_P(TableBuilderStreams, MatchesOracleForAnyStreamCount) {
   const auto points = data::generate_sky_survey(3000, 52);
   const float eps = 0.35f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable oracle = build_neighbor_table_host(index, eps);
   cudasim::Device dev({}, fast_options());
   BatchPolicy policy;
@@ -75,7 +75,7 @@ INSTANTIATE_TEST_SUITE_P(Streams, TableBuilderStreams,
 TEST(TableBuilder, ManyBatchesViaStaticPolicy) {
   const auto points = data::generate_space_weather(3000, 53);
   const float eps = 0.3f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable oracle = build_neighbor_table_host(index, eps);
   cudasim::Device dev({}, fast_options());
   BatchPolicy policy;
@@ -94,7 +94,7 @@ TEST(TableBuilder, OverflowRecoveryViaSplitting) {
   // batches instead of crashing or dropping pairs.
   const auto points = data::generate_space_weather(3000, 54);
   const float eps = 0.4f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable oracle = build_neighbor_table_host(index, eps);
   cudasim::Device dev({}, fast_options());
   BatchPolicy policy;
@@ -109,7 +109,7 @@ TEST(TableBuilder, OverflowRecoveryViaSplitting) {
 TEST(TableBuilder, SharedKernelSingleBatch) {
   const auto points = data::generate_space_weather(2500, 55);
   const float eps = 0.3f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable oracle = build_neighbor_table_host(index, eps);
   cudasim::Device dev({}, fast_options());
   BatchPolicy policy;
@@ -125,7 +125,7 @@ TEST(TableBuilder, SharedKernelSingleBatch) {
 TEST(TableBuilder, DeviceMemoryFullyReleased) {
   const auto points = data::generate_sky_survey(2000, 56);
   const float eps = 0.3f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   cudasim::Device dev({}, fast_options());
   {
     NeighborTableBuilder builder(dev);
@@ -142,7 +142,7 @@ TEST(TableBuilder, TinyDeviceMemoryForcesManySmallBatches) {
   // device-capacity cap in the planner (a slot is a bare PointId).
   const auto points = data::generate_uniform(5000, 57, 10.0f, 10.0f);
   const float eps = 0.5f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable oracle = build_neighbor_table_host(index, eps);
   cudasim::DeviceConfig cfg;
   cfg.global_mem_bytes = 768ull << 10;
@@ -157,7 +157,7 @@ TEST(TableBuilder, EstimateSecondsAreNegligible) {
   // Paper: the estimation kernel "executes once in negligible time".
   const auto points = data::generate_sky_survey(20000, 58);
   const float eps = 0.25f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   cudasim::Device dev({}, fast_options());
   BuildReport report;
   NeighborTableBuilder builder(dev);

@@ -27,7 +27,7 @@ TEST_F(TableIoTest, RoundTripPreservesEveryNeighborhood) {
   const auto points = data::generate_space_weather(
       2000, 71, {.width = 8.0f, .height = 8.0f});
   const float eps = 0.35f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable table = build_neighbor_table_host(index, eps);
 
   save_neighbor_table(path("t.bin"), table, eps);
@@ -51,7 +51,7 @@ TEST_F(TableIoTest, LoadedTableClustersIdentically) {
   const auto points = data::generate_sky_survey(
       1500, 72, {.width = 8.0f, .height = 8.0f});
   const float eps = 0.4f;
-  const GridIndex index = build_grid_index(points, eps);
+  const GridIndex<Point2> index = build_grid_index(points, eps);
   const NeighborTable table = build_neighbor_table_host(index, eps);
   save_neighbor_table(path("t.bin"), table, eps);
   const NeighborTable loaded = load_neighbor_table(path("t.bin"));
@@ -78,7 +78,7 @@ TEST_F(TableIoTest, RejectsBadMagic) {
 
 TEST_F(TableIoTest, RejectsTruncatedFile) {
   const auto points = data::generate_uniform(200, 73, 3.0f, 3.0f);
-  const GridIndex index = build_grid_index(points, 0.3f);
+  const GridIndex<Point2> index = build_grid_index(points, 0.3f);
   save_neighbor_table(path("trunc.bin"),
                       build_neighbor_table_host(index, 0.3f), 0.3f);
   const auto full = std::filesystem::file_size(path("trunc.bin"));
