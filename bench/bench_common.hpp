@@ -2,13 +2,17 @@
 #pragma once
 
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/env.hpp"
 #include "common/timer.hpp"
+#include "core/neighbor_table_builder.hpp"
 #include "cudasim/device.hpp"
 #include "data/datasets.hpp"
+#include "dbscan/dbscan.hpp"
+#include "index/grid_index.hpp"
 
 namespace hdbscan::bench {
 
@@ -46,6 +50,41 @@ double timed_mean(F&& fn) {
     total += timer.seconds();
   }
   return total / trials;
+}
+
+/// One neighbor table for `eps` plus its modeled cost (index build +
+/// modeled T construction), for the paper's reuse scheme (§VII-F).
+struct ReuseTable {
+  NeighborTable table;
+  double modeled_table_seconds = 0.0;
+};
+
+inline ReuseTable build_reuse_table(cudasim::Device& device,
+                                    std::span<const Point2> points,
+                                    float eps) {
+  WallTimer index_timer;
+  const GridIndex<Point2> index = build_grid_index(points, eps);
+  const double index_s = index_timer.seconds();
+  BuildReport report;
+  ReuseTable out;
+  out.table = NeighborTableBuilder(device).build(index, eps, &report);
+  out.modeled_table_seconds = index_s + report.modeled_table_seconds;
+  return out;
+}
+
+/// The paper's scheme: one full DBSCAN over T per minpts value, each timed
+/// alone. Schedule the durations with makespan_seconds() to model a
+/// k-thread host.
+inline std::vector<double> time_per_minpts(const NeighborTable& table,
+                                           std::span<const int> minpts) {
+  std::vector<double> seconds;
+  seconds.reserve(minpts.size());
+  for (const int m : minpts) {
+    WallTimer timer;
+    (void)dbscan_neighbor_table(table, m);
+    seconds.push_back(timer.seconds());
+  }
+  return seconds;
 }
 
 }  // namespace hdbscan::bench

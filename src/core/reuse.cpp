@@ -1,16 +1,14 @@
 #include "core/reuse.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "common/timer.hpp"
 #include "core/hybrid_dbscan.hpp"
 #include "core/neighbor_table_builder.hpp"
-#include "dbscan/dbscan.hpp"
+#include "dbscan/minpts_sweep.hpp"
 #include "obs/trace.hpp"
 
 namespace hdbscan {
@@ -24,7 +22,6 @@ ReuseReport cluster_minpts_sweep(cudasim::Device& device,
                                  ClusterMode mode) {
   ReuseReport report;
   report.eps = eps;
-  report.variant_seconds.assign(minpts_values.size(), 0.0);
   report.variant_clusters.assign(minpts_values.size(), 0);
   report.outcomes.assign(minpts_values.size(), {});
   if (results != nullptr) results->assign(minpts_values.size(), {});
@@ -75,79 +72,50 @@ ReuseReport cluster_minpts_sweep(cudasim::Device& device,
   report.modeled_table_seconds =
       index_s + build_report.modeled_table_seconds;
 
-  // Phase 2: concurrent minpts sweep — over the shared (read-only) table
-  // in batch mode, or each consumer's resolution tail in streaming mode.
+  // Phase 2: every minpts value from one union-find sweep over the shared
+  // table in batch mode, or each consumer's resolution tail in streaming
+  // mode.
   WallTimer dbscan_timer;
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::size_t failed = 0;  // guarded by error_mutex
-  for (const VariantOutcome& o : report.outcomes) {
-    if (!o.ok) {
-      ++failed;  // minpts rejected before the fanout
-      if (!first_error) {
-        first_error =
-            std::make_exception_ptr(std::invalid_argument(o.error));
-      }
-    }
-  }
-
-  // One failing minpts value (say, an invalid 0 in the middle of a sweep)
-  // is recorded in its outcome slot and the worker moves on; the shared
-  // table is read-only so the siblings are unaffected.
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= minpts_values.size()) return;
-      if (!report.outcomes[i].ok) continue;  // rejected pre-fanout
+  const unsigned threads = std::max(1u, num_threads);
+  if (streaming) {
+    std::exception_ptr first_error;
+    std::size_t failed = 0;
+    double overlap_sum = 0.0;
+    for (std::size_t i = 0; i < minpts_values.size(); ++i) {
+      VariantOutcome& outcome = report.outcomes[i];
       try {
-        WallTimer t;
-        ClusterResult indexed =
-            streaming ? consumers[i]->finalize()
-                      : dbscan_neighbor_table(table, minpts_values[i]);
-        report.variant_seconds[i] = t.seconds();
+        // Rejected before the fanout: count it like any failed value.
+        if (!outcome.ok) throw std::invalid_argument(outcome.error);
+        const ClusterResult indexed = consumers[i]->finalize(threads);
+        overlap_sum += consumers[i]->stats().overlap_fraction();
         report.variant_clusters[i] = indexed.num_clusters;
         if (results != nullptr) {
           (*results)[i] = unmap_labels(indexed, index.original_ids);
         }
       } catch (const std::exception& e) {
-        std::lock_guard lock(error_mutex);
-        report.outcomes[i].ok = false;
-        report.outcomes[i].error = e.what();
-        ++failed;
-        if (!first_error) first_error = std::current_exception();
-      } catch (...) {
-        std::lock_guard lock(error_mutex);
-        report.outcomes[i].ok = false;
-        report.outcomes[i].error = "unknown error";
+        // A failing value is recorded and its siblings still finish.
+        outcome.ok = false;
+        outcome.error = e.what();
         ++failed;
         if (!first_error) first_error = std::current_exception();
       }
     }
-  };
-
-  if (num_threads <= 1) {
-    worker();
+    if (!minpts_values.empty() && failed == minpts_values.size()) {
+      std::rethrow_exception(first_error);
+    }
+    const std::size_t finished = minpts_values.size() - failed;
+    if (finished > 0) report.overlap_fraction = overlap_sum / finished;
   } else {
-    std::vector<std::thread> threads;
-    threads.reserve(num_threads);
-    for (unsigned t = 0; t < num_threads; ++t) threads.emplace_back(worker);
-    for (auto& t : threads) t.join();
-  }
-  if (!minpts_values.empty() && failed == minpts_values.size()) {
-    std::rethrow_exception(first_error);
-  }
-
-  if (streaming) {
-    double sum = 0.0;
-    std::size_t counted = 0;
-    for (const auto& c : consumers) {
-      if (c) {
-        sum += c->stats().overlap_fraction();
-        ++counted;
-      }
+    // Throws when every value is invalid; an invalid value among valid
+    // ones is recorded and its siblings are kept.
+    MinptsSweep sweep = dbscan_minpts_sweep(table, minpts_values, threads,
+                                            index.original_ids);
+    for (std::size_t i = 0; i < minpts_values.size(); ++i) {
+      report.outcomes[i].ok = sweep.outcomes[i].ok;
+      report.outcomes[i].error = std::move(sweep.outcomes[i].error);
+      report.variant_clusters[i] = sweep.results[i].num_clusters;
     }
-    if (counted > 0) report.overlap_fraction = sum / counted;
+    if (results != nullptr) *results = std::move(sweep.results);
   }
 
   report.dbscan_wall_seconds = dbscan_timer.seconds();

@@ -1,9 +1,11 @@
 // Data-reuse scheme (paper §VII-F / scenario S3).
 //
 // The neighbor table depends only on eps, so for a fixed eps and a sweep
-// over minpts, T is computed once and consumed concurrently by up to 16
-// threads, one DBSCAN run per minpts value. (This is the opposite knob to
-// OPTICS, which fixes minpts and sweeps eps.)
+// over minpts, T is computed once and every minpts value is clustered
+// from it. The paper runs one DBSCAN per minpts on k host threads; here
+// one union-find sweep over T (dbscan/minpts_sweep.hpp) yields all of
+// them at once, since core sets are nested in minpts. (This is the
+// opposite knob to OPTICS, which fixes minpts and sweeps eps.)
 #pragma once
 
 #include <span>
@@ -21,16 +23,13 @@ struct ReuseReport {
   double table_seconds = 0.0;   ///< index build + T construction (once)
   /// Index build + modeled T construction (reference-hardware GPU model).
   double modeled_table_seconds = 0.0;
-  double dbscan_wall_seconds = 0.0;  ///< concurrent clustering phase
+  double dbscan_wall_seconds = 0.0;  ///< clustering phase (all minpts)
   double total_seconds = 0.0;
   /// Streaming mode: all minpts consumers ingested the build's batches
   /// concurrently; phase 2 only ran their resolution tails.
   bool streamed = false;
   /// Mean per-consumer consume / (consume + finalize) in streaming mode.
   double overlap_fraction = 0.0;
-  /// Measured per-variant sequential durations (indexed like the minpts
-  /// input); feed these to makespan_seconds() to model k-core scaling.
-  std::vector<double> variant_seconds;
   std::vector<std::int32_t> variant_clusters;
   /// Per-minpts outcome: a failing variant (e.g. an invalid minpts among
   /// valid ones) is recorded here and no longer aborts its siblings; the
@@ -38,12 +37,12 @@ struct ReuseReport {
   std::vector<VariantOutcome> outcomes;
 };
 
-/// Builds T once for `eps`, then clusters every minpts value using
-/// `num_threads` concurrent workers. Labels (input order) are written to
-/// `results` when non-null. ClusterMode::kStreaming fans every CSR batch
-/// out to one union-find consumer per minpts value during the single
-/// build (T itself is never materialized); phase 2 then only runs each
-/// consumer's resolution tail.
+/// Builds T once for `eps`, then clusters every minpts value with one
+/// dbscan_minpts_sweep over T on `num_threads` workers. Labels (input
+/// order) are written to `results` when non-null. ClusterMode::kStreaming
+/// instead fans every CSR batch out to one union-find consumer per minpts
+/// value during the single build (T itself is never materialized); phase
+/// 2 then only runs each consumer's resolution tail.
 ReuseReport cluster_minpts_sweep(cudasim::Device& device,
                                  std::span<const Point2> points, float eps,
                                  std::span<const int> minpts_values,

@@ -8,8 +8,13 @@
 //    NeighborSearch is a lookup into the precomputed neighbor table T, so
 //    it takes (T, minpts) instead of (eps, minpts).
 //
-// All flavours produce identical clusterings on core points; border-point
-// cluster assignment is visit-order dependent (inherent to DBSCAN).
+// All flavours produce identical clusterings on core points and noise. A
+// border point (non-core, with a core neighbor) may belong to several
+// clusters; each flavour picks one by a fixed rule. The BFS flavours here
+// give it the smallest cluster id among its core neighbors' clusters (the
+// first cluster to expand into it); dbscan_minpts_sweep
+// (dbscan/minpts_sweep.hpp) gives it the cluster of its highest-degree
+// neighbor, ties to the smallest id.
 #pragma once
 
 #include <span>

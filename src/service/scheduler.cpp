@@ -771,7 +771,11 @@ void ClusterService::process_group(PendingPtr leader,
           fused_cluster(device, index, lead.eps, consumer, bp);
       breaker_.record_success(static_cast<std::size_t>(dev));
       const double build_wall = build_wall_timer.seconds();
-      const double build_model = index_wall + report.modeled_table_seconds;
+      // As in hybrid_dbscan's fused mode: the in-flight unions run on the
+      // consumer's own cores, so the slower of build and unions counts.
+      const double build_model =
+          index_wall + std::max(report.modeled_table_seconds,
+                                consumer.stats().max_thread_consume_seconds);
       WallTimer fin;
       const ClusterResult labels = consumer.finalize(options_.dbscan_threads);
       const double finalize_wall = fin.seconds();
@@ -846,7 +850,15 @@ void ClusterService::process_group(PendingPtr leader,
                   /*materialize_table=*/false);
     breaker_.record_success(static_cast<std::size_t>(dev));
     const double build_wall = build_wall_timer.seconds();
-    const double build_model = index_wall + report.modeled_table_seconds;
+    // The fanout feeds every consumer on the same stream threads, so their
+    // union work adds up; as in hybrid_dbscan's streaming mode it overlaps
+    // the build and the slower of the two counts.
+    double union_model = 0.0;
+    for (const auto& c : clusterers) {
+      union_model += c->stats().max_thread_consume_seconds;
+    }
+    const double build_model =
+        index_wall + std::max(report.modeled_table_seconds, union_model);
     for (std::size_t j = 0; j < runnable.size(); ++j) {
       Pending& job = *runnable[j];
       RequestScope scope(job.trace);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -525,6 +526,35 @@ TEST(ClusterServiceTest, CoalescedGroupSharesOneBuild) {
   }
   // Same minpts across the fanout: identical labels from one build.
   EXPECT_EQ(results[0].labels, results[2].labels);
+}
+
+/// The cache-off path streams one build into one union-find consumer per
+/// group job. Their unions run on the build's stream threads, so the
+/// build's modeled time must cover them: on dense data, where the unions
+/// dwarf the modeled table build, eight consumers cost far more than one.
+TEST(ClusterServiceTest, StreamingBuildChargesTheConsumersUnionWork) {
+  ServiceFixture f;
+  f.points = data::generate_uniform(3000, 6, 2.0f, 2.0f);  // ~590 nbrs/pt
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  opt.cache_bytes_budget = 0;  // FanoutSink streaming path
+  auto build_model = [&](std::size_t group) {
+    auto svc = f.make(opt);
+    const auto results =
+        svc->replay(std::vector<JobSpec>(group, job(0.5f, 4)));
+    double charged = 0.0;  // the leader carries the build's modeled time
+    for (const JobResult& r : results) {
+      EXPECT_EQ(r.state, JobState::kCompleted);
+      charged = std::max(charged, r.modeled_device_seconds);
+    }
+    EXPECT_EQ(svc->stats().coalesced_jobs, group - 1);
+    return charged;
+  };
+  (void)build_model(1);  // warm the device's buffer pools
+  const double one = build_model(1);
+  const double eight = build_model(8);
+  EXPECT_GT(eight, 3.0 * one) << "one consumer " << one << " s, eight "
+                              << eight << " s";
 }
 
 TEST(ClusterServiceTest, CoalescedCacheGroupSharesLabelsPerMinpts) {
