@@ -1,6 +1,7 @@
 #include "core/hybrid_dbscan.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "common/timer.hpp"
@@ -40,44 +41,6 @@ ClusterResult run_cell_graph_mode(const cudasim::DeviceConfig& config,
   return out;
 }
 
-/// Shared fused-mode tail of both hybrid_dbscan overloads: run the
-/// traversal, finalize the consumer, fill the streaming/fused timing
-/// fields. `local.index_seconds` must already be set.
-ClusterResult run_fused_mode(const std::vector<cudasim::Device*>& devices,
-                             const GridIndex<Point2>& index, float eps,
-                             int minpts,
-                             const BatchPolicy& policy, HybridTimings& local,
-                             WallTimer& total_timer) {
-  WallTimer phase_timer;
-  StreamingDbscan consumer(index.size(), minpts);
-  consumer.set_cancel_token(policy.cancel);
-  local.build_report = fused_cluster(devices, index, eps, consumer, policy);
-  local.gpu_table_seconds = phase_timer.seconds();
-
-  phase_timer.reset();
-  const ClusterResult indexed = consumer.finalize();
-  local.dbscan_seconds = phase_timer.seconds();
-
-  const StreamingDbscan::Stats& st = consumer.stats();
-  local.fused = true;
-  local.streamed = true;
-  local.consume_seconds = st.consume_seconds;
-  local.finalize_seconds = st.finalize_seconds;
-  local.overlap_fraction = st.overlap_fraction();
-  local.streamed_edge_fraction = st.streamed_fraction();
-  local.peak_consumer_bytes = consumer.peak_memory_bytes();
-  local.total_seconds = total_timer.seconds();
-  local.modeled_gpu_table_seconds = local.build_report.modeled_table_seconds;
-  // As in streaming mode, the in-flight union work runs on the consumer's
-  // own cores; the post-build tail is the only serial clustering share.
-  local.modeled_total_seconds =
-      local.index_seconds +
-      std::max(local.modeled_gpu_table_seconds,
-               st.max_thread_consume_seconds) +
-      st.finalize_seconds;
-  return unmap_labels(indexed, index.original_ids);
-}
-
 }  // namespace
 
 ClusterResult unmap_labels(const ClusterResult& indexed,
@@ -92,90 +55,115 @@ ClusterResult unmap_labels(const ClusterResult& indexed,
   return out;
 }
 
+StreamingDbscan& EpsBuild::consumer(std::size_t i) const {
+  if (consumers.size() == 1) i = 0;  // fused: one consumer serves all
+  if (consumers[i] == nullptr) std::rethrow_exception(rejected[i]);
+  return *consumers[i];
+}
+
+EpsBuild build_for_eps(const std::vector<cudasim::Device*>& devices,
+                       std::span<const Point2> points, float eps,
+                       std::span<const int> minpts, ClusterMode mode,
+                       const ShardedBuildOptions& options) {
+  if (mode == ClusterMode::kFused &&
+      std::adjacent_find(minpts.begin(), minpts.end(),
+                         std::not_equal_to<>()) != minpts.end()) {
+    throw std::invalid_argument(
+        "build_for_eps: ClusterMode::kFused clusters one minpts per build "
+        "— the traversal kernel unions into a single consumer");
+  }
+  std::vector<cudasim::Device*> fleet;
+  std::vector<cudasim::Device*> live;
+  for (cudasim::Device* d : devices) {
+    if (d == nullptr) continue;
+    fleet.push_back(d);
+    if (!d->lost()) live.push_back(d);
+  }
+
+  EpsBuild out;
+  WallTimer timer;
+  GridIndex<Point2> index = [&] {
+    TRACE_SPAN("index", "grid_index n=%zu", points.size());
+    return build_grid_index(points, eps);
+  }();
+  out.index_seconds = timer.seconds();
+  timer.reset();
+
+  out.host_fallback = live.empty();
+  FanoutSink fanout;
+  if (!out.host_fallback && mode != ClusterMode::kBatchTable) {
+    const std::size_t n_consumers =
+        mode == ClusterMode::kFused ? std::min<std::size_t>(1, minpts.size())
+                                    : minpts.size();
+    out.consumers.resize(n_consumers);
+    out.rejected.resize(n_consumers);
+    for (std::size_t i = 0; i < n_consumers; ++i) {
+      try {
+        out.consumers[i] =
+            std::make_unique<StreamingDbscan>(index.size(), minpts[i]);
+        out.consumers[i]->set_cancel_token(options.policy.cancel);
+        fanout.add(out.consumers[i].get());
+      } catch (const std::invalid_argument&) {
+        // An invalid minpts among valid ones is left out of the fan-out;
+        // its siblings still stream.
+        out.rejected[i] = std::current_exception();
+      }
+    }
+    if (fanout.empty() && n_consumers > 0) {
+      std::rethrow_exception(out.rejected.front());
+    }
+  }
+
+  if (out.host_fallback) {
+    TRACE_SPAN("host", "host_table n=%zu", points.size());
+    out.table = build_neighbor_table_host(index, eps, /*num_threads=*/0);
+    out.report.used_host_fallback = true;
+    out.report.total_pairs = out.table.total_pairs();
+  } else if (mode == ClusterMode::kFused && out.streamed()) {
+    // The whole index is replicated on every live device and the strided
+    // batches interleave — no slab sharding, since the kernels union
+    // global ids directly.
+    out.report = fused_cluster(live, index, eps, *out.consumers.front(),
+                               options.policy);
+  } else {
+    BatchSink* sink = fanout.empty() ? nullptr : &fanout;
+    out.table =
+        fleet.size() == 1 && options.num_shards <= 1
+            ? NeighborTableBuilder(*fleet.front(), options.policy)
+                  .build(index, eps, &out.report, sink, sink == nullptr)
+            : build_sharded_neighbor_table(fleet, index, eps, options,
+                                           &out.report, sink,
+                                           sink == nullptr);
+  }
+  out.build_seconds = timer.seconds();
+
+  if (out.host_fallback) {
+    out.modeled_seconds = out.index_seconds + out.build_seconds;
+  } else {
+    // On the reference host the consumers drain completed batches on
+    // their own cores while the device builds; a fan-out feeds every
+    // consumer from the same stream threads, so their slowest threads add
+    // up, and the slower of build and unions is the critical path.
+    double union_seconds = 0.0;
+    for (const auto& c : out.consumers) {
+      if (c != nullptr) union_seconds += c->stats().max_thread_consume_seconds;
+    }
+    out.modeled_seconds =
+        out.index_seconds +
+        std::max(out.report.modeled_table_seconds, union_seconds);
+  }
+  out.original_ids = std::move(index.original_ids);
+  return out;
+}
+
 ClusterResult hybrid_dbscan(cudasim::Device& device,
                             std::span<const Point2> points, float eps,
                             int minpts, HybridTimings* timings,
                             const BatchPolicy& policy, ClusterMode mode) {
-  HybridTimings local;
-  WallTimer total_timer;
-
-  if (policy.quality == ClusterQuality::kCellGraph) {
-    const ClusterResult out = run_cell_graph_mode(
-        device.config(), points, eps, minpts, mode, local, total_timer);
-    if (timings != nullptr) *timings = local;
-    return out;
-  }
-  WallTimer phase_timer;
-  const GridIndex<Point2> index = [&] {
-    TRACE_SPAN("index", "grid_index n=%zu", points.size());
-    return build_grid_index(points, eps);
-  }();
-  local.index_seconds = phase_timer.seconds();
-
-  if (mode == ClusterMode::kFused) {
-    const ClusterResult out = run_fused_mode({&device}, index, eps,
-                                             minpts, policy, local,
-                                             total_timer);
-    if (timings != nullptr) *timings = local;
-    return out;
-  }
-
-  if (mode == ClusterMode::kStreaming) {
-    // Streaming fast path: the union-find consumer ingests every CSR
-    // batch on the builder's stream threads, so the host clustering work
-    // runs while the GPU is still filling later batches — and T is never
-    // materialized (no shard merge, no half-table expansion, no table
-    // memory).
-    phase_timer.reset();
-    StreamingDbscan consumer(index.size(), minpts);
-    NeighborTableBuilder builder(device, policy);
-    builder.build(index, eps, &local.build_report, &consumer,
-                  /*materialize_table=*/false);
-    local.gpu_table_seconds = phase_timer.seconds();
-
-    phase_timer.reset();
-    const ClusterResult indexed = consumer.finalize();
-    local.dbscan_seconds = phase_timer.seconds();
-
-    const StreamingDbscan::Stats& st = consumer.stats();
-    local.streamed = true;
-    local.consume_seconds = st.consume_seconds;
-    local.finalize_seconds = st.finalize_seconds;
-    local.overlap_fraction = st.overlap_fraction();
-    local.streamed_edge_fraction = st.streamed_fraction();
-    local.peak_consumer_bytes = consumer.peak_memory_bytes();
-    local.total_seconds = total_timer.seconds();
-    local.modeled_gpu_table_seconds =
-        local.build_report.modeled_table_seconds;
-    // On the reference host the consumers drain completed staging buffers
-    // on their own cores (one per builder stream), so the union work adds
-    // its slowest thread — not the summed CPU time — to the critical
-    // path: response time is max(build, slowest union thread) + tail.
-    local.modeled_total_seconds =
-        local.index_seconds +
-        std::max(local.modeled_gpu_table_seconds,
-                 st.max_thread_consume_seconds) +
-        st.finalize_seconds;
-    if (timings != nullptr) *timings = local;
-    return unmap_labels(indexed, index.original_ids);
-  }
-
-  phase_timer.reset();
-  NeighborTableBuilder builder(device, policy);
-  const NeighborTable table = builder.build(index, eps, &local.build_report);
-  local.gpu_table_seconds = phase_timer.seconds();
-
-  phase_timer.reset();
-  const ClusterResult indexed = dbscan_neighbor_table(table, minpts);
-  local.dbscan_seconds = phase_timer.seconds();
-
-  local.total_seconds = total_timer.seconds();
-  local.modeled_gpu_table_seconds = local.build_report.modeled_table_seconds;
-  local.modeled_total_seconds = local.index_seconds +
-                                local.modeled_gpu_table_seconds +
-                                local.dbscan_seconds;
-  if (timings != nullptr) *timings = local;
-  return unmap_labels(indexed, index.original_ids);
+  ShardedBuildOptions options;
+  options.policy = policy;
+  return hybrid_dbscan(std::vector<cudasim::Device*>{&device}, points, eps,
+                       minpts, timings, options, mode);
 }
 
 ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
@@ -183,13 +171,13 @@ ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
                             int minpts, HybridTimings* timings,
                             const ShardedBuildOptions& options,
                             ClusterMode mode) {
+  if (devices.empty() || devices.front() == nullptr) {
+    throw std::invalid_argument("hybrid_dbscan: no devices");
+  }
   HybridTimings local;
   WallTimer total_timer;
 
   if (options.policy.quality == ClusterQuality::kCellGraph) {
-    if (devices.empty() || devices.front() == nullptr) {
-      throw std::invalid_argument("hybrid_dbscan: no devices");
-    }
     const ClusterResult out = run_cell_graph_mode(
         devices.front()->config(), points, eps, minpts, mode, local,
         total_timer);
@@ -197,71 +185,41 @@ ClusterResult hybrid_dbscan(const std::vector<cudasim::Device*>& devices,
     return out;
   }
 
+  const int minpts_list[] = {minpts};
+  EpsBuild build =
+      build_for_eps(devices, points, eps, minpts_list, mode, options);
+  local.index_seconds = build.index_seconds;
+  local.gpu_table_seconds = build.build_seconds;
+  local.modeled_gpu_table_seconds = build.host_fallback
+                                        ? build.build_seconds
+                                        : build.report.modeled_table_seconds;
+
   WallTimer phase_timer;
-  const GridIndex<Point2> index = [&] {
-    TRACE_SPAN("index", "grid_index n=%zu", points.size());
-    return build_grid_index(points, eps);
-  }();
-  local.index_seconds = phase_timer.seconds();
-
-  if (mode == ClusterMode::kFused) {
-    // Fused mode replicates the (whole) index across the devices and
-    // interleaves the strided batches — no slab sharding applies, since
-    // the kernels union global ids directly.
-    const ClusterResult out = run_fused_mode(devices, index, eps, minpts,
-                                             options.policy, local,
-                                             total_timer);
-    if (timings != nullptr) *timings = local;
-    return out;
-  }
-
-  if (mode == ClusterMode::kStreaming) {
-    phase_timer.reset();
-    StreamingDbscan consumer(index.size(), minpts);
-    build_sharded_neighbor_table(devices, index, eps, options,
-                                 &local.build_report, &consumer,
-                                 /*materialize_table=*/false);
-    local.gpu_table_seconds = phase_timer.seconds();
-
-    phase_timer.reset();
-    const ClusterResult indexed = consumer.finalize();
+  ClusterResult indexed;
+  double tail_seconds = 0.0;  // the serial clustering share after the build
+  if (build.streamed()) {
+    StreamingDbscan& consumer = build.consumer(0);
+    indexed = consumer.finalize();
     local.dbscan_seconds = phase_timer.seconds();
-
     const StreamingDbscan::Stats& st = consumer.stats();
+    local.fused = mode == ClusterMode::kFused;
     local.streamed = true;
     local.consume_seconds = st.consume_seconds;
     local.finalize_seconds = st.finalize_seconds;
     local.overlap_fraction = st.overlap_fraction();
     local.streamed_edge_fraction = st.streamed_fraction();
     local.peak_consumer_bytes = consumer.peak_memory_bytes();
-    local.total_seconds = total_timer.seconds();
-    local.modeled_gpu_table_seconds =
-        local.build_report.modeled_table_seconds;
-    local.modeled_total_seconds =
-        local.index_seconds +
-        std::max(local.modeled_gpu_table_seconds,
-                 st.max_thread_consume_seconds) +
-        st.finalize_seconds;
-    if (timings != nullptr) *timings = local;
-    return unmap_labels(indexed, index.original_ids);
+    tail_seconds = st.finalize_seconds;
+  } else {
+    indexed = dbscan_neighbor_table(build.table, minpts);
+    local.dbscan_seconds = phase_timer.seconds();
+    tail_seconds = local.dbscan_seconds;
   }
-
-  phase_timer.reset();
-  const NeighborTable table = build_sharded_neighbor_table(
-      devices, index, eps, options, &local.build_report);
-  local.gpu_table_seconds = phase_timer.seconds();
-
-  phase_timer.reset();
-  const ClusterResult indexed = dbscan_neighbor_table(table, minpts);
-  local.dbscan_seconds = phase_timer.seconds();
-
+  local.build_report = std::move(build.report);
   local.total_seconds = total_timer.seconds();
-  local.modeled_gpu_table_seconds = local.build_report.modeled_table_seconds;
-  local.modeled_total_seconds = local.index_seconds +
-                                local.modeled_gpu_table_seconds +
-                                local.dbscan_seconds;
+  local.modeled_total_seconds = build.modeled_seconds + tail_seconds;
   if (timings != nullptr) *timings = local;
-  return unmap_labels(indexed, index.original_ids);
+  return unmap_labels(indexed, build.original_ids);
 }
 
 }  // namespace hdbscan

@@ -509,7 +509,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex<Point2>& index,
     // The parallel host builder queries full neighborhoods directly, so
     // no half-table expansion applies on this rung.
     NeighborTable t =
-        build_neighbor_table_host_parallel(index, eps, /*num_threads=*/0);
+        build_neighbor_table_host(index, eps, /*num_threads=*/0);
     local_report.total_pairs = t.total_pairs();
     if (sink != nullptr) {
       // This rung only fires before any batch ran, so the sink has seen

@@ -4,16 +4,13 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
 
 #include "common/timer.hpp"
 #include "core/cell_graph.hpp"
-#include "core/fused_clustering.hpp"
 #include "core/hybrid_dbscan.hpp"
-#include "core/neighbor_table_builder.hpp"
 #include "dbscan/dbscan.hpp"
 #include "obs/trace.hpp"
 
@@ -22,15 +19,11 @@ namespace hdbscan {
 namespace {
 
 /// Work item flowing from the table producer to the DBSCAN consumers:
-/// either a materialized table (batch mode) or an already-streamed
-/// clusterer awaiting its resolution tail (streaming mode).
+/// one variant's build — a materialized table, or an already-streamed
+/// clusterer awaiting its resolution tail.
 struct TableItem {
   std::size_t variant_index = 0;
-  NeighborTable table;
-  std::vector<PointId> original_ids;
-  /// Streaming mode: the consumer that ingested this variant's batches
-  /// during its build; the pipeline consumer only runs finalize().
-  std::unique_ptr<StreamingDbscan> streaming;
+  EpsBuild build;
   /// Host bytes this item holds in flight (table payload, or the
   /// streaming consumer's resident footprint).
   std::uint64_t payload_bytes = 0;
@@ -159,208 +152,10 @@ PipelineReport run_multi_clustering(cudasim::Device& device,
                                     std::span<const Point2> points,
                                     std::span<const Variant> variants,
                                     const PipelineOptions& options) {
-  if (options.policy.quality == ClusterQuality::kCellGraph) {
-    return run_cell_graph_variants(device.config(), points, variants,
-                                   options);
-  }
-  PipelineReport report;
-  report.variants.resize(variants.size());
-  if (options.keep_results) report.results.resize(variants.size());
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    report.variants[i].variant = variants[i];
-  }
-  WallTimer total_timer;
-
-  if (!options.pipelined) {
-    std::exception_ptr first_error;
-    std::size_t failed = 0;
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      try {
-        TRACE_SPAN("pipeline", "variant v%zu eps=%.3f", i,
-                   static_cast<double>(variants[i].eps));
-        if (device.lost()) {
-          // The device died on an earlier variant: finish the sweep
-          // host-side rather than failing every remaining variant.
-          WallTimer t;
-          GridIndex<Point2> index = build_grid_index(points, variants[i].eps);
-          NeighborTable table = build_neighbor_table_host_parallel(
-              index, variants[i].eps, /*num_threads=*/0);
-          const double table_s = t.seconds();
-          WallTimer dbscan_timer;
-          ClusterResult indexed =
-              dbscan_neighbor_table(table, variants[i].minpts);
-          ClusterResult r = unmap_labels(indexed, index.original_ids);
-          report.variants[i].table_seconds = table_s;
-          report.variants[i].modeled_table_seconds = table_s;
-          report.variants[i].dbscan_seconds = dbscan_timer.seconds();
-          report.variants[i].num_clusters = r.num_clusters;
-          report.variants[i].noise_count = r.noise_count();
-          report.variants[i].outcome.host_fallback = true;
-          if (options.keep_results) report.results[i] = std::move(r);
-        } else {
-          HybridTimings t;
-          ClusterResult r =
-              hybrid_dbscan(device, points, variants[i].eps,
-                            variants[i].minpts, &t, options.policy,
-                            options.cluster_mode);
-          report.variants[i].table_seconds =
-              t.index_seconds + t.gpu_table_seconds;
-          report.variants[i].modeled_table_seconds =
-              t.index_seconds + t.modeled_gpu_table_seconds;
-          report.variants[i].dbscan_seconds = t.dbscan_seconds;
-          report.variants[i].num_clusters = r.num_clusters;
-          report.variants[i].noise_count = r.noise_count();
-          report.variants[i].streamed = t.streamed;
-          report.variants[i].overlap_fraction = t.overlap_fraction;
-          if (options.keep_results) report.results[i] = std::move(r);
-        }
-      } catch (...) {
-        report.variants[i].outcome.ok = false;
-        report.variants[i].outcome.error = describe_current_exception();
-        report.variants[i].outcome.failure = classify_current_exception();
-        ++failed;
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (!variants.empty() && failed == variants.size()) {
-      std::rethrow_exception(first_error);
-    }
-    report.total_seconds = total_timer.seconds();
-    return report;
-  }
-
-  BoundedQueue queue(std::max(1u, options.queue_capacity),
-                     options.queue_bytes_budget);
-  std::mutex report_mutex;
-  std::exception_ptr first_error;
-  std::size_t failed_variants = 0;  // guarded by report_mutex
-
-  auto record_failure = [&](std::size_t i) {
-    std::lock_guard lock(report_mutex);
-    report.variants[i].outcome.ok = false;
-    report.variants[i].outcome.error = describe_current_exception();
-    report.variants[i].outcome.failure = classify_current_exception();
-    ++failed_variants;
-    if (!first_error) first_error = std::current_exception();
-  };
-
-  // Producer: builds the grid index and T for v_{i+1} while the consumers
-  // are still clustering v_i. A variant whose build fails is recorded and
-  // skipped — its siblings keep flowing. Once the device is lost the
-  // remaining variants' tables are built host-side instead.
-  const bool streaming = options.cluster_mode == ClusterMode::kStreaming;
-  const bool fused = options.cluster_mode == ClusterMode::kFused;
-
-  std::thread producer([&] {
-    obs::set_thread_track(obs::kHostPid, "producer");
-    NeighborTableBuilder builder(device, options.policy);
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      try {
-        TRACE_SPAN("pipeline", "produce v%zu eps=%.3f", i,
-                   static_cast<double>(variants[i].eps));
-        WallTimer t;
-        WallTimer index_timer;
-        GridIndex<Point2> index = build_grid_index(points, variants[i].eps);
-        const double index_s = index_timer.seconds();
-        TableItem item;
-        item.variant_index = i;
-        const bool host = device.lost();
-        double modeled_s = 0.0;
-        if (host) {
-          item.table = build_neighbor_table_host_parallel(
-              index, variants[i].eps, /*num_threads=*/0);
-          item.payload_bytes = table_payload_bytes(item.table);
-        } else if (fused) {
-          // Fused variants never touch the table builder: the traversal
-          // kernel ingests straight into the clusterer, and the pipeline
-          // consumers — like streaming mode — only run the tail.
-          auto clusterer = std::make_unique<StreamingDbscan>(
-              index.size(), variants[i].minpts);
-          clusterer->set_cancel_token(options.policy.cancel);
-          const BuildReport build_report = fused_cluster(
-              device, index, variants[i].eps, *clusterer, options.policy);
-          modeled_s = index_s + build_report.modeled_table_seconds;
-          item.payload_bytes = clusterer->memory_bytes();
-          item.streaming = std::move(clusterer);
-        } else if (streaming) {
-          // This variant's core-core unions run on the builder's stream
-          // threads *during* this build — intra-variant overlap on top of
-          // the inter-variant producer/consumer overlap. The consumers
-          // only run the resolution tail.
-          auto clusterer = std::make_unique<StreamingDbscan>(
-              index.size(), variants[i].minpts);
-          clusterer->set_cancel_token(options.policy.cancel);
-          BuildReport build_report;
-          builder.build(index, variants[i].eps, &build_report,
-                        clusterer.get(), /*materialize_table=*/false);
-          modeled_s = index_s + build_report.modeled_table_seconds;
-          item.payload_bytes = clusterer->memory_bytes();
-          item.streaming = std::move(clusterer);
-        } else {
-          BuildReport build_report;
-          item.table = builder.build(index, variants[i].eps, &build_report);
-          modeled_s = index_s + build_report.modeled_table_seconds;
-          item.payload_bytes = table_payload_bytes(item.table);
-        }
-        item.original_ids = std::move(index.original_ids);
-        {
-          std::lock_guard lock(report_mutex);
-          report.variants[i].table_seconds = t.seconds();
-          report.variants[i].modeled_table_seconds =
-              host ? t.seconds() : modeled_s;
-          report.variants[i].outcome.host_fallback = host;
-        }
-        queue.push(std::move(item));
-      } catch (...) {
-        record_failure(i);
-      }
-    }
-    queue.close();
-  });
-
-  std::vector<std::thread> consumers;
-  consumers.reserve(std::max(1u, options.num_consumers));
-  for (unsigned c = 0; c < std::max(1u, options.num_consumers); ++c) {
-    consumers.emplace_back([&] {
-      obs::set_thread_track(obs::kHostPid, "consumer");
-      while (auto item = queue.pop()) {
-        const std::size_t i = item->variant_index;
-        try {
-          TRACE_SPAN("pipeline", "consume v%zu minpts=%u", i,
-                     variants[i].minpts);
-          WallTimer t;
-          ClusterResult indexed =
-              item->streaming
-                  ? item->streaming->finalize()
-                  : dbscan_neighbor_table(item->table, variants[i].minpts);
-          const double dbscan_s = t.seconds();
-          ClusterResult result = options.keep_results
-                                     ? unmap_labels(indexed, item->original_ids)
-                                     : std::move(indexed);
-          std::lock_guard lock(report_mutex);
-          report.variants[i].dbscan_seconds = dbscan_s;
-          report.variants[i].num_clusters = result.num_clusters;
-          report.variants[i].noise_count = result.noise_count();
-          if (item->streaming) {
-            report.variants[i].streamed = true;
-            report.variants[i].overlap_fraction =
-                item->streaming->stats().overlap_fraction();
-          }
-          if (options.keep_results) report.results[i] = std::move(result);
-        } catch (...) {
-          record_failure(i);
-        }
-      }
-    });
-  }
-
-  producer.join();
-  for (auto& c : consumers) c.join();
-  if (!variants.empty() && failed_variants == variants.size()) {
-    std::rethrow_exception(first_error);
-  }
-  report.total_seconds = total_timer.seconds();
-  return report;
+  PipelineOptions single = options;
+  single.num_shards = 0;
+  return run_multi_clustering(std::vector<cudasim::Device*>{&device}, points,
+                              variants, single);
 }
 
 PipelineReport run_multi_clustering(
@@ -378,9 +173,6 @@ PipelineReport run_multi_clustering(
     return run_cell_graph_variants(fleet.front()->config(), points, variants,
                                    options);
   }
-  if (fleet.size() == 1 && options.num_shards <= 1) {
-    return run_multi_clustering(*fleet.front(), points, variants, options);
-  }
   PipelineReport report;
   report.variants.resize(variants.size());
   if (options.keep_results) report.results.resize(variants.size());
@@ -389,125 +181,13 @@ PipelineReport run_multi_clustering(
   }
   WallTimer total_timer;
 
-  const bool streaming = options.cluster_mode == ClusterMode::kStreaming;
-  const bool fused = options.cluster_mode == ClusterMode::kFused;
-  const auto any_live = [&fleet] {
-    for (const cudasim::Device* d : fleet) {
-      if (!d->lost()) return true;
-    }
-    return false;
-  };
   ShardedBuildOptions sopts;
   sopts.num_shards = options.num_shards;
   sopts.policy = options.policy;
 
-  // Builds one variant's table (or streams its unions) across the fleet
-  // and packages it for the consumers — the fleet analogue of the
-  // single-device producer body. Returns the item plus its timing split.
-  auto produce_item = [&](std::size_t i, double& wall_s, double& modeled_s,
-                          bool& host) -> TableItem {
-    WallTimer t;
-    WallTimer index_timer;
-    GridIndex<Point2> index = build_grid_index(points, variants[i].eps);
-    const double index_s = index_timer.seconds();
-    TableItem item;
-    item.variant_index = i;
-    host = !any_live();
-    modeled_s = 0.0;
-    if (host) {
-      item.table = build_neighbor_table_host_parallel(
-          index, variants[i].eps, /*num_threads=*/0);
-      item.payload_bytes = table_payload_bytes(item.table);
-    } else if (fused) {
-      // Fused fleet variants replicate the whole index (no slab sharding;
-      // the kernels union global ids) and interleave the strided batches
-      // across every live device's streams.
-      std::vector<cudasim::Device*> live;
-      for (cudasim::Device* d : fleet) {
-        if (!d->lost()) live.push_back(d);
-      }
-      auto clusterer = std::make_unique<StreamingDbscan>(index.size(),
-                                                         variants[i].minpts);
-      clusterer->set_cancel_token(options.policy.cancel);
-      const BuildReport build_report = fused_cluster(
-          live, index, variants[i].eps, *clusterer, options.policy);
-      modeled_s = index_s + build_report.modeled_table_seconds;
-      item.payload_bytes = clusterer->memory_bytes();
-      item.streaming = std::move(clusterer);
-    } else if (streaming) {
-      auto clusterer = std::make_unique<StreamingDbscan>(index.size(),
-                                                         variants[i].minpts);
-      clusterer->set_cancel_token(options.policy.cancel);
-      BuildReport build_report;
-      build_sharded_neighbor_table(fleet, index, variants[i].eps, sopts,
-                                   &build_report, clusterer.get(),
-                                   /*materialize_table=*/false);
-      modeled_s = index_s + build_report.modeled_table_seconds;
-      item.payload_bytes = clusterer->memory_bytes();
-      item.streaming = std::move(clusterer);
-    } else {
-      BuildReport build_report;
-      item.table = build_sharded_neighbor_table(fleet, index, variants[i].eps,
-                                                sopts, &build_report);
-      modeled_s = index_s + build_report.modeled_table_seconds;
-      item.payload_bytes = table_payload_bytes(item.table);
-    }
-    item.original_ids = std::move(index.original_ids);
-    wall_s = t.seconds();
-    if (host) modeled_s = wall_s;
-    return item;
-  };
-
-  if (!options.pipelined) {
-    std::exception_ptr first_error;
-    std::size_t failed = 0;
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      try {
-        TRACE_SPAN("pipeline", "variant v%zu eps=%.3f", i,
-                   static_cast<double>(variants[i].eps));
-        double wall_s = 0.0;
-        double modeled_s = 0.0;
-        bool host = false;
-        TableItem item = produce_item(i, wall_s, modeled_s, host);
-        WallTimer dbscan_timer;
-        ClusterResult indexed =
-            item.streaming
-                ? item.streaming->finalize()
-                : dbscan_neighbor_table(item.table, variants[i].minpts);
-        ClusterResult result = unmap_labels(indexed, item.original_ids);
-        report.variants[i].table_seconds = wall_s;
-        report.variants[i].modeled_table_seconds = modeled_s;
-        report.variants[i].dbscan_seconds = dbscan_timer.seconds();
-        report.variants[i].num_clusters = result.num_clusters;
-        report.variants[i].noise_count = result.noise_count();
-        report.variants[i].outcome.host_fallback = host;
-        if (item.streaming) {
-          report.variants[i].streamed = true;
-          report.variants[i].overlap_fraction =
-              item.streaming->stats().overlap_fraction();
-        }
-        if (options.keep_results) report.results[i] = std::move(result);
-      } catch (...) {
-        report.variants[i].outcome.ok = false;
-        report.variants[i].outcome.error = describe_current_exception();
-        report.variants[i].outcome.failure = classify_current_exception();
-        ++failed;
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (!variants.empty() && failed == variants.size()) {
-      std::rethrow_exception(first_error);
-    }
-    report.total_seconds = total_timer.seconds();
-    return report;
-  }
-
-  BoundedQueue queue(std::max(1u, options.queue_capacity),
-                     options.queue_bytes_budget);
   std::mutex report_mutex;
   std::exception_ptr first_error;
   std::size_t failed_variants = 0;  // guarded by report_mutex
-
   auto record_failure = [&](std::size_t i) {
     std::lock_guard lock(report_mutex);
     report.variants[i].outcome.ok = false;
@@ -517,68 +197,101 @@ PipelineReport run_multi_clustering(
     if (!first_error) first_error = std::current_exception();
   };
 
-  std::thread producer([&] {
-    obs::set_thread_track(obs::kHostPid, "producer");
+  // Builds one variant's table (or streams its unions) through the
+  // per-eps stage. Once every device is lost the stage builds host-side,
+  // so the remaining variants still finish.
+  auto produce = [&](std::size_t i) -> TableItem {
+    TableItem item;
+    item.variant_index = i;
+    const int minpts[] = {variants[i].minpts};
+    item.build = build_for_eps(fleet, points, variants[i].eps, minpts,
+                               options.cluster_mode, sopts);
+    const EpsBuild& b = item.build;
+    item.payload_bytes = b.streamed() ? b.consumer(0).memory_bytes()
+                                      : table_payload_bytes(b.table);
+    std::lock_guard lock(report_mutex);
+    report.variants[i].table_seconds = b.index_seconds + b.build_seconds;
+    report.variants[i].modeled_table_seconds = b.modeled_seconds;
+    report.variants[i].outcome.host_fallback = b.host_fallback;
+    return item;
+  };
+
+  // Clusters one built variant: the streamed consumer's resolution tail,
+  // or the modified DBSCAN over its table.
+  auto consume = [&](TableItem& item) {
+    const std::size_t i = item.variant_index;
+    const EpsBuild& b = item.build;
+    WallTimer t;
+    ClusterResult indexed =
+        b.streamed() ? b.consumer(0).finalize()
+                     : dbscan_neighbor_table(b.table, variants[i].minpts);
+    const double dbscan_s = t.seconds();
+    ClusterResult result = options.keep_results
+                               ? unmap_labels(indexed, b.original_ids)
+                               : std::move(indexed);
+    std::lock_guard lock(report_mutex);
+    report.variants[i].dbscan_seconds = dbscan_s;
+    report.variants[i].num_clusters = result.num_clusters;
+    report.variants[i].noise_count = result.noise_count();
+    if (b.streamed()) {
+      report.variants[i].streamed = true;
+      report.variants[i].overlap_fraction =
+          b.consumer(0).stats().overlap_fraction();
+    }
+    if (options.keep_results) report.results[i] = std::move(result);
+  };
+
+  if (!options.pipelined) {
     for (std::size_t i = 0; i < variants.size(); ++i) {
       try {
-        TRACE_SPAN("pipeline", "produce v%zu eps=%.3f", i,
+        TRACE_SPAN("pipeline", "variant v%zu eps=%.3f", i,
                    static_cast<double>(variants[i].eps));
-        double wall_s = 0.0;
-        double modeled_s = 0.0;
-        bool host = false;
-        TableItem item = produce_item(i, wall_s, modeled_s, host);
-        {
-          std::lock_guard lock(report_mutex);
-          report.variants[i].table_seconds = wall_s;
-          report.variants[i].modeled_table_seconds = modeled_s;
-          report.variants[i].outcome.host_fallback = host;
-        }
-        queue.push(std::move(item));
+        TableItem item = produce(i);
+        consume(item);
       } catch (...) {
         record_failure(i);
       }
     }
-    queue.close();
-  });
-
-  std::vector<std::thread> consumers;
-  consumers.reserve(std::max(1u, options.num_consumers));
-  for (unsigned c = 0; c < std::max(1u, options.num_consumers); ++c) {
-    consumers.emplace_back([&] {
-      obs::set_thread_track(obs::kHostPid, "consumer");
-      while (auto item = queue.pop()) {
-        const std::size_t i = item->variant_index;
+  } else {
+    BoundedQueue queue(std::max(1u, options.queue_capacity),
+                       options.queue_bytes_budget);
+    // Producer: builds T for v_{i+1} while the consumers are still
+    // clustering v_i. A variant whose build fails is recorded and skipped
+    // — its siblings keep flowing.
+    std::thread producer([&] {
+      obs::set_thread_track(obs::kHostPid, "producer");
+      for (std::size_t i = 0; i < variants.size(); ++i) {
         try {
-          TRACE_SPAN("pipeline", "consume v%zu minpts=%u", i,
-                     variants[i].minpts);
-          WallTimer t;
-          ClusterResult indexed =
-              item->streaming
-                  ? item->streaming->finalize()
-                  : dbscan_neighbor_table(item->table, variants[i].minpts);
-          const double dbscan_s = t.seconds();
-          ClusterResult result = options.keep_results
-                                     ? unmap_labels(indexed, item->original_ids)
-                                     : std::move(indexed);
-          std::lock_guard lock(report_mutex);
-          report.variants[i].dbscan_seconds = dbscan_s;
-          report.variants[i].num_clusters = result.num_clusters;
-          report.variants[i].noise_count = result.noise_count();
-          if (item->streaming) {
-            report.variants[i].streamed = true;
-            report.variants[i].overlap_fraction =
-                item->streaming->stats().overlap_fraction();
-          }
-          if (options.keep_results) report.results[i] = std::move(result);
+          TRACE_SPAN("pipeline", "produce v%zu eps=%.3f", i,
+                     static_cast<double>(variants[i].eps));
+          queue.push(produce(i));
         } catch (...) {
           record_failure(i);
         }
       }
+      queue.close();
     });
-  }
 
-  producer.join();
-  for (auto& c : consumers) c.join();
+    std::vector<std::thread> consumers;
+    consumers.reserve(std::max(1u, options.num_consumers));
+    for (unsigned c = 0; c < std::max(1u, options.num_consumers); ++c) {
+      consumers.emplace_back([&] {
+        obs::set_thread_track(obs::kHostPid, "consumer");
+        while (auto item = queue.pop()) {
+          try {
+            TRACE_SPAN("pipeline", "consume v%zu minpts=%u",
+                       item->variant_index,
+                       variants[item->variant_index].minpts);
+            consume(*item);
+          } catch (...) {
+            record_failure(item->variant_index);
+          }
+        }
+      });
+    }
+    producer.join();
+    for (auto& c : consumers) c.join();
+  }
   if (!variants.empty() && failed_variants == variants.size()) {
     std::rethrow_exception(first_error);
   }

@@ -47,7 +47,8 @@ struct VariantTiming {
   Variant variant;
   double table_seconds = 0.0;   ///< index + GPU neighbor-table wall time
   double dbscan_seconds = 0.0;  ///< host clustering time
-  /// Index build + modeled T construction (reference-hardware GPU model).
+  /// The build stage's modeled charge (EpsBuild::modeled_seconds): index
+  /// build + max(modeled T construction, streamed union work).
   double modeled_table_seconds = 0.0;
   std::int32_t num_clusters = 0;
   std::size_t noise_count = 0;
@@ -90,6 +91,7 @@ struct PipelineReport {
 
 /// Clusters `points` for every variant. With options.pipelined the
 /// producer/consumer overlap is on; otherwise variants run sequentially.
+/// Forwards to the fleet overload as a fleet of one (num_shards ignored).
 PipelineReport run_multi_clustering(cudasim::Device& device,
                                     std::span<const Point2> points,
                                     std::span<const Variant> variants,
@@ -99,9 +101,10 @@ PipelineReport run_multi_clustering(cudasim::Device& device,
 /// (surviving) devices via the sharded orchestrator — eps-halo row slabs,
 /// re-partitioning on device loss, the whole §12 ladder — while the
 /// producer/consumer overlap and the bounded queue (count + byte budget,
-/// one-item minimum) work exactly as in the single-device pipeline. With
-/// one device and num_shards <= 1 this degenerates to the single-device
-/// overload.
+/// one-item minimum) work exactly as in the single-device pipeline. Each
+/// variant is one build_for_eps call, so one device with num_shards <= 1
+/// takes the single-device builder, and a fleet with no live device left
+/// builds the remaining variants on the host.
 PipelineReport run_multi_clustering(
     const std::vector<cudasim::Device*>& devices,
     std::span<const Point2> points, std::span<const Variant> variants,

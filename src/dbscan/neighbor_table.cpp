@@ -415,65 +415,58 @@ NeighborTable build_neighbor_table_host_strided_idrule(
   return shard;
 }
 
-NeighborTable build_neighbor_table_host_parallel(const GridIndex<Point2>& index,
-                                                 float eps,
-                                                 unsigned num_threads) {
+template <typename Point>
+NeighborTable build_neighbor_table_host(const GridIndex<Point>& index,
+                                        float eps, unsigned num_threads) {
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
   NeighborTable table(index.size());
   const std::size_t n = index.query_count();
 
-  // Each worker searches a contiguous id range and stages its pairs;
-  // appends are serialized (ranges have disjoint keys, so order between
-  // batches is irrelevant).
+  // Each worker searches a contiguous id range and stages its pairs,
+  // appending them at row boundaries once the stage fills; ranges have
+  // disjoint keys, so the order between appends is irrelevant.
+  constexpr std::size_t kFlushPairs = std::size_t{1} << 16;
   std::mutex table_mutex;
-  const std::size_t chunk =
-      std::max<std::size_t>(1, (n + num_threads - 1) / num_threads);
-  std::vector<std::thread> workers;
-  for (unsigned w = 0; w < num_threads; ++w) {
-    const std::size_t begin = static_cast<std::size_t>(w) * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    workers.emplace_back([&, begin, end, ctx = current_request_context()] {
-      RequestScope scope(ctx);
-      std::vector<PointId> neighbors;
-      std::vector<NeighborPair> pairs;
-      for (std::size_t i = begin; i < end; ++i) {
-        grid_query(index, index.points[i], eps, neighbors);
-        for (const PointId v : neighbors) {
-          pairs.push_back({static_cast<PointId>(i), v});
-        }
-      }
+  const auto search = [&](std::size_t begin, std::size_t end) {
+    std::vector<PointId> neighbors;
+    std::vector<NeighborPair> pairs;
+    const auto flush = [&] {
       std::lock_guard lock(table_mutex);
       table.append_sorted_batch(pairs);
+      pairs.clear();
+    };
+    for (std::size_t i = begin; i < end; ++i) {
+      grid_query(index, index.points[i], eps, neighbors);
+      for (const PointId v : neighbors) {
+        pairs.push_back({static_cast<PointId>(i), v});
+      }
+      if (pairs.size() >= kFlushPairs) flush();
+    }
+    flush();
+  };
+  const std::size_t chunk =
+      std::max<std::size_t>(1, (n + num_threads - 1) / num_threads);
+  if (num_threads == 1 || chunk >= n) {
+    search(0, n);
+    return table;
+  }
+  std::vector<std::thread> workers;
+  for (std::size_t begin = 0; begin < n; begin += chunk) {
+    const std::size_t end = std::min(n, begin + chunk);
+    workers.emplace_back([&, begin, end, ctx = current_request_context()] {
+      RequestScope scope(ctx);
+      search(begin, end);
     });
   }
   for (auto& t : workers) t.join();
   return table;
 }
 
-template <typename Point>
-NeighborTable build_neighbor_table_host(const GridIndex<Point>& index,
-                                        float eps) {
-  NeighborTable table(index.size());
-  std::vector<PointId> neighbors;
-  std::vector<NeighborPair> pairs;
-  for (PointId i = 0; i < index.query_count(); ++i) {
-    grid_query(index, index.points[i], eps, neighbors);
-    pairs.clear();
-    pairs.reserve(neighbors.size());
-    for (const PointId v : neighbors) {
-      pairs.push_back({i, v});
-    }
-    table.append_sorted_batch(pairs);
-  }
-  return table;
-}
-
 template NeighborTable build_neighbor_table_host(const GridIndex<Point2>&,
-                                                 float);
+                                                 float, unsigned);
 template NeighborTable build_neighbor_table_host(const GridIndex<Point3>&,
-                                                 float);
+                                                 float, unsigned);
 
 }  // namespace hdbscan

@@ -160,17 +160,11 @@ class NeighborTable {
 /// CPU-only construction of T straight from a grid index — the host
 /// fallback the paper mentions ("a CPU-only implementation could also
 /// compute and reuse T") and the oracle for kernel tests, for 2-D and 3-D
-/// indexes.
+/// indexes. Point ranges are searched on `num_threads` threads (0 =
+/// hardware concurrency); every thread count yields the same table.
 template <typename Point>
 NeighborTable build_neighbor_table_host(const GridIndex<Point>& index,
-                                        float eps);
-
-/// Multithreaded host construction of T: point ranges are searched in
-/// parallel and appended as per-range batches. Produces exactly the same
-/// table as the sequential builder. `num_threads` 0 = hardware concurrency.
-NeighborTable build_neighbor_table_host_parallel(const GridIndex<Point2>& index,
-                                                 float eps,
-                                                 unsigned num_threads = 0);
+                                        float eps, unsigned num_threads = 1);
 
 /// Host construction of one strided batch's shard: only the keys
 /// first_key + g * key_stride (g = 0, 1, ...) are searched and filled; all

@@ -12,12 +12,8 @@
 #include "common/timer.hpp"
 #include "core/cell_graph.hpp"
 #include "core/estimator.hpp"
-#include "core/fused_clustering.hpp"
-#include "core/hybrid_dbscan.hpp"  // unmap_labels
-#include "core/neighbor_table_builder.hpp"
-#include "dbscan/batch_sink.hpp"
+#include "core/hybrid_dbscan.hpp"
 #include "dbscan/dbscan.hpp"
-#include "dbscan/streaming_dbscan.hpp"
 #include "index/grid_index.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/registry.hpp"
@@ -631,17 +627,19 @@ void ClusterService::process_group(PendingPtr leader,
     return;
   }
 
-  // Completes one job from a table (cache hit or freshly built+shared):
-  // host DBSCAN over the table, measured wall time advancing the modeled
-  // clock (host work is real work on this machine). `build_wall` is the
-  // wall time this request spent waiting on the group's table build (0
-  // for cache hits). Every job of the group reads the same table, so jobs
-  // that also share minpts share one DBSCAN run and its labels.
+  // Completes one job of the group: clusters for the job's minpts (once
+  // per distinct minpts — later jobs of the group reuse the labels) and
+  // advances the modeled clock by `device_share` (the build's modeled
+  // charge, carried by the group's first job) plus the measured
+  // clustering wall time (host work is real work on this machine).
+  // `cluster(minpts)` runs DBSCAN over a table or finalizes a streamed
+  // consumer; `build_wall` is the wall time this request spent waiting on
+  // the group's build (0 for cache hits). `r` arrives carrying the
+  // build's provenance (cache hit, fused, host fallback, device).
   std::vector<std::pair<int, ClusterResult>> labels_by_minpts;
-  auto finish_from_table = [&](Pending& job, const CachedTable& entry,
-                               bool cache_hit, double device_share,
-                               int device_id, bool host_fb,
-                               double build_wall) {
+  auto finish = [&](Pending& job, const auto& cluster,
+                    std::span<const PointId> original_ids, Stage tail,
+                    double device_share, double build_wall, JobResult r) {
     RequestScope scope(job.trace);
     const double start = std::max(clock, job.spec.arrival_seconds);
     WallTimer t;
@@ -649,17 +647,13 @@ void ClusterService::process_group(PendingPtr leader,
         labels_by_minpts.begin(), labels_by_minpts.end(),
         [&](const auto& m) { return m.first == job.spec.minpts; });
     if (memo == labels_by_minpts.end()) {
-      labels_by_minpts.emplace_back(
-          job.spec.minpts, dbscan_neighbor_table(entry.table, job.spec.minpts));
+      labels_by_minpts.emplace_back(job.spec.minpts,
+                                    cluster(job.spec.minpts));
       memo = std::prev(labels_by_minpts.end());
     }
     const ClusterResult& labels = memo->second;
     clock = start + device_share + t.seconds();
-    JobResult r;
-    r.cache_hit = cache_hit;
     r.coalesced = coalesced_build;
-    r.host_fallback = host_fb;
-    r.device_id = device_id;
     r.modeled_start_seconds = start;
     r.modeled_finish_seconds = clock;
     r.modeled_device_seconds = device_share;
@@ -668,9 +662,9 @@ void ClusterService::process_group(PendingPtr leader,
     if (build_wall > 0.0 || device_share > 0.0) {
       r.stages.add(Stage::kBuild, build_wall, device_share);
     }
-    r.stages.add(Stage::kCache, t.seconds());
+    r.stages.add(tail, t.seconds());
     if (options_.keep_labels) {
-      r.labels = unmap_labels(labels, entry.original_ids).labels;
+      r.labels = unmap_labels(labels, original_ids).labels;
     }
     record_terminal(job, rs, JobState::kCompleted, std::move(r));
   };
@@ -690,65 +684,44 @@ void ClusterService::process_group(PendingPtr leader,
         obs::link("cache_hit", job->trace.request_id, job->trace.tenant,
                   hit->built_by_request);
       }
-      finish_from_table(*job, *hit.get(), /*cache_hit=*/true,
-                        /*device_share=*/0.0, /*device_id=*/-1,
-                        /*host_fb=*/false, /*build_wall=*/0.0);
+      JobResult r;
+      r.cache_hit = true;
+      r.device_id = -1;
+      finish(
+          *job,
+          [&](int minpts) { return dbscan_neighbor_table(hit->table, minpts); },
+          hit->original_ids, Stage::kCache, /*device_share=*/0.0,
+          /*build_wall=*/0.0, std::move(r));
     }
     return;
   }
 
-  // --- Fresh build. ---
+  // --- Fresh build. With the fleet gone, the stage builds host-side
+  // (still a completed request) unless host fallback is off. ---
   const int dev = pick_device();
-  if (dev < 0) {
-    // Fleet gone. Finish host-side (still a completed request) or fail.
-    if (!options_.host_fallback) {
-      for (auto& job : runnable) {
-        JobResult r;
-        r.failure = FailureReason::kDeviceLost;
-        record_terminal(*job, rs, JobState::kFailed, std::move(r));
-      }
-      return;
-    }
-    WallTimer t;
-    GridIndex<Point2> index = build_grid_index(ds.points, lead.eps);
-    CachedTable entry;
-    entry.table = build_neighbor_table_host_parallel(index, lead.eps,
-                                                     /*num_threads=*/0);
-    entry.table.canonicalize();
-    entry.original_ids = std::move(index.original_ids);
-    entry.bytes = CachedTable::payload_bytes(entry.table);
-    entry.built_by_request = runnable.front()->trace.request_id;
-    const double host_build = t.seconds();
-    {
-      std::lock_guard slock(stats_mutex_);
-      stats_.host_fallback_jobs += runnable.size();
-    }
-    bool first = true;
+  if (dev < 0 && !options_.host_fallback) {
     for (auto& job : runnable) {
-      finish_from_table(*job, entry, /*cache_hit=*/false,
-                        first ? host_build : 0.0, /*device_id=*/-1,
-                        /*host_fb=*/true, host_build);
-      first = false;
+      JobResult r;
+      r.failure = FailureReason::kDeviceLost;
+      record_terminal(*job, rs, JobState::kFailed, std::move(r));
     }
-    // Fused jobs bypass the cache in both directions: the emergency host
-    // table above is a fallback artifact, not a reusable build product.
-    if (cache_.enabled() && !lead.fused) cache_.insert(key, std::move(entry));
     return;
   }
-
-  cudasim::Device& device = *devices_[static_cast<std::size_t>(dev)];
-  BatchPolicy bp = options_.policy;
+  std::vector<cudasim::Device*> fleet;
+  if (dev >= 0) fleet.push_back(devices_[static_cast<std::size_t>(dev)]);
+  ShardedBuildOptions build_options;
+  BatchPolicy& bp = build_options.policy;
+  bp = options_.policy;
   bp.metrics_labels = "service=1";
   // Belt and braces: the builder re-installs this context on its pump
   // thread even if a future caller launches builds from an unscoped
   // thread.
   bp.trace = runnable.front()->trace;
-  CancelToken* token = nullptr;
   if (runnable.size() == 1) {
     // Singleton builds propagate the job's own token into the ladder; a
     // coalesced build serves several clients, so one client's cancel
     // must not abort the others' work.
-    token = runnable.front()->token.get();
+    CancelToken* token = runnable.front()->token.get();
     if (runnable.front()->spec.wall_deadline_seconds > 0.0) {
       token->set_deadline_after(runnable.front()->spec.wall_deadline_seconds);
     }
@@ -756,133 +729,65 @@ void ClusterService::process_group(PendingPtr leader,
   }
 
   try {
+    // Fused jobs (coalescing guaranteed equal minpts) take the no-table
+    // traversal; with the cache off, a labels-only streaming build feeds
+    // one consumer per job; otherwise the table is built and cached, so
+    // cache-hit labels come from the same dbscan_neighbor_table a fresh
+    // build uses and are bit-identical to them.
+    const ClusterMode mode = lead.fused         ? ClusterMode::kFused
+                             : cache_.enabled() ? ClusterMode::kBatchTable
+                                                : ClusterMode::kStreaming;
+    std::vector<int> minpts;
+    for (const auto& job : runnable) minpts.push_back(job->spec.minpts);
     WallTimer build_wall_timer;
-    GridIndex<Point2> index = build_grid_index(ds.points, lead.eps);
-    const double index_wall = build_wall_timer.seconds();
-
-    if (lead.fused) {
-      // Fused no-table path: one traversal kernel counts degrees and
-      // unions both-core edges for the whole group (coalescing guaranteed
-      // equal minpts), nothing is materialized or cached. Hard failures
-      // fall through to the breaker + retry ladder like any build.
-      StreamingDbscan consumer(index.size(), lead.minpts);
-      if (token != nullptr) consumer.set_cancel_token(token);
-      const BuildReport report =
-          fused_cluster(device, index, lead.eps, consumer, bp);
-      breaker_.record_success(static_cast<std::size_t>(dev));
-      const double build_wall = build_wall_timer.seconds();
-      // As in hybrid_dbscan's fused mode: the in-flight unions run on the
-      // consumer's own cores, so the slower of build and unions counts.
-      const double build_model =
-          index_wall + std::max(report.modeled_table_seconds,
-                                consumer.stats().max_thread_consume_seconds);
-      WallTimer fin;
-      const ClusterResult labels = consumer.finalize(options_.dbscan_threads);
-      const double finalize_wall = fin.seconds();
-      {
-        std::lock_guard slock(stats_mutex_);
-        stats_.fused_jobs += runnable.size();
-      }
-      bool first = true;
-      for (auto& job : runnable) {
-        RequestScope scope(job->trace);
-        const double start = std::max(clock, job->spec.arrival_seconds);
-        clock = start + (first ? build_model + finalize_wall : 0.0);
-        JobResult r;
-        r.fused = true;
-        r.coalesced = coalesced_build;
-        r.host_fallback = report.used_host_fallback;
-        r.device_id = dev;
-        r.modeled_start_seconds = start;
-        r.modeled_finish_seconds = clock;
-        r.modeled_device_seconds = first ? build_model : 0.0;
-        r.num_clusters = labels.num_clusters;
-        r.noise_count = labels.noise_count();
-        r.stages.add(Stage::kBuild, build_wall, first ? build_model : 0.0);
-        r.stages.add(Stage::kStreamUnion, finalize_wall);
-        if (options_.keep_labels) {
-          r.labels = unmap_labels(labels, index.original_ids).labels;
-        }
-        record_terminal(*job, rs, JobState::kCompleted, std::move(r));
-        first = false;
-      }
-      return;
-    }
-
-    NeighborTableBuilder builder(device, bp);
-    BuildReport report;
-
-    if (cache_.enabled()) {
-      // Materialized path: one build, labels for every group job via the
-      // same dbscan_neighbor_table a later cache hit will use — so
-      // cache-hit labels are bit-identical to fresh-build labels.
-      CachedTable entry;
-      entry.table = builder.build(index, lead.eps, &report);
-      entry.table.canonicalize();
-      entry.original_ids = std::move(index.original_ids);
-      entry.bytes = CachedTable::payload_bytes(entry.table);
-      entry.built_by_request = runnable.front()->trace.request_id;
-      const double build_wall = build_wall_timer.seconds();
-      TableCache::Handle pinned = cache_.insert(key, std::move(entry));
-      breaker_.record_success(static_cast<std::size_t>(dev));
-      const double build_model = index_wall + report.modeled_table_seconds;
-      bool first = true;
-      for (auto& job : runnable) {
-        finish_from_table(*job, *pinned.get(), /*cache_hit=*/false,
-                          first ? build_model : 0.0, dev,
-                          report.used_host_fallback, build_wall);
-        first = false;
-      }
-      return;
-    }
-
-    // Cache off: labels-only streaming build — one StreamingDbscan per
-    // group job fed through a FanoutSink, T never materialized.
-    std::vector<std::unique_ptr<StreamingDbscan>> clusterers;
-    FanoutSink fanout;
-    for (auto& job : runnable) {
-      clusterers.push_back(
-          std::make_unique<StreamingDbscan>(index.size(), job->spec.minpts));
-      if (token != nullptr) clusterers.back()->set_cancel_token(token);
-      fanout.add(clusterers.back().get());
-    }
-    builder.build(index, lead.eps, &report, &fanout,
-                  /*materialize_table=*/false);
-    breaker_.record_success(static_cast<std::size_t>(dev));
+    EpsBuild build =
+        build_for_eps(fleet, ds.points, lead.eps, minpts, mode, build_options);
     const double build_wall = build_wall_timer.seconds();
-    // The fanout feeds every consumer on the same stream threads, so their
-    // union work adds up; as in hybrid_dbscan's streaming mode it overlaps
-    // the build and the slower of the two counts.
-    double union_model = 0.0;
-    for (const auto& c : clusterers) {
-      union_model += c->stats().max_thread_consume_seconds;
+    if (dev >= 0) breaker_.record_success(static_cast<std::size_t>(dev));
+    {
+      std::lock_guard slock(stats_mutex_);
+      if (build.host_fallback) stats_.host_fallback_jobs += runnable.size();
+      if (build.streamed() && lead.fused) stats_.fused_jobs += runnable.size();
     }
-    const double build_model =
-        index_wall + std::max(report.modeled_table_seconds, union_model);
-    for (std::size_t j = 0; j < runnable.size(); ++j) {
-      Pending& job = *runnable[j];
-      RequestScope scope(job.trace);
-      const double start = std::max(clock, job.spec.arrival_seconds);
-      WallTimer t;
-      const ClusterResult labels =
-          clusterers[j]->finalize(options_.dbscan_threads);
-      clock = start + (j == 0 ? build_model : 0.0) + t.seconds();
-      JobResult r;
-      r.coalesced = coalesced_build;
-      r.host_fallback = report.used_host_fallback;
-      r.device_id = dev;
-      r.modeled_start_seconds = start;
-      r.modeled_finish_seconds = clock;
-      r.modeled_device_seconds = j == 0 ? build_model : 0.0;
-      r.num_clusters = labels.num_clusters;
-      r.noise_count = labels.noise_count();
-      r.stages.add(Stage::kBuild, build_wall,
-                   j == 0 ? build_model : 0.0);
-      r.stages.add(Stage::kStreamUnion, t.seconds());
-      if (options_.keep_labels) {
-        r.labels = unmap_labels(labels, index.original_ids).labels;
+    JobResult provenance;
+    provenance.fused = build.streamed() && lead.fused;
+    provenance.host_fallback = build.report.used_host_fallback;
+    provenance.device_id = dev;
+
+    if (build.streamed()) {
+      for (std::size_t j = 0; j < runnable.size(); ++j) {
+        finish(
+            *runnable[j],
+            [&](int) {
+              return build.consumer(j).finalize(options_.dbscan_threads);
+            },
+            build.original_ids, Stage::kStreamUnion,
+            j == 0 ? build.modeled_seconds : 0.0, build_wall, provenance);
       }
-      record_terminal(job, rs, JobState::kCompleted, std::move(r));
+      return;
+    }
+
+    CachedTable entry;
+    entry.table = std::move(build.table);
+    entry.table.canonicalize();
+    entry.original_ids = std::move(build.original_ids);
+    entry.bytes = CachedTable::payload_bytes(entry.table);
+    entry.built_by_request = runnable.front()->trace.request_id;
+    // Fused jobs bypass the cache in both directions: a host table built
+    // for them is a fallback artifact, not a reusable build product.
+    TableCache::Handle pinned;
+    if (cache_.enabled() && !lead.fused) {
+      pinned = cache_.insert(key, std::move(entry));
+    }
+    const CachedTable& served = pinned ? *pinned.get() : entry;
+    bool first = true;
+    for (auto& job : runnable) {
+      finish(
+          *job,
+          [&](int m) { return dbscan_neighbor_table(served.table, m); },
+          served.original_ids, Stage::kCache,
+          first ? build.modeled_seconds : 0.0, build_wall, provenance);
+      first = false;
     }
     return;
   } catch (...) {
@@ -908,7 +813,7 @@ void ClusterService::process_group(PendingPtr leader,
     frec.note("build", runnable.front()->trace.request_id,
               "build failed on device %d: %s (group of %zu)", dev,
               failure_reason_name(fr), runnable.size());
-    if (breaker_.record_failure(static_cast<std::size_t>(dev))) {
+    if (dev >= 0 && breaker_.record_failure(static_cast<std::size_t>(dev))) {
       frec.note("breaker", runnable.front()->trace.request_id,
                 "breaker opened on device %d", dev);
       frec.dump("breaker_open");

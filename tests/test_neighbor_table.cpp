@@ -114,7 +114,7 @@ TEST(NeighborTable, ParallelHostBuildEqualsSequential) {
   const NeighborTable sequential = build_neighbor_table_host(index, eps);
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     const NeighborTable parallel =
-        build_neighbor_table_host_parallel(index, eps, threads);
+        build_neighbor_table_host(index, eps, threads);
     ASSERT_EQ(parallel.total_pairs(), sequential.total_pairs());
     for (PointId i = 0; i < sequential.num_points(); ++i) {
       const auto a = sequential.neighbors(i);

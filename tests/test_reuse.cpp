@@ -104,6 +104,28 @@ TEST(Reuse, EmptyMinptsListIsNoop) {
   EXPECT_GT(report.table_seconds, 0.0);  // T is still built
 }
 
+// Streaming reuse fans every batch out to one consumer per minpts on the
+// builder's stream threads; their union work adds up and is charged
+// against the device build like the service's streaming path.
+TEST(Reuse, StreamingBuildChargesTheConsumersUnionWork) {
+  const auto points = data::generate_uniform(3000, 6, 2.0f, 2.0f);
+  cudasim::Device dev({}, fast_options());
+  auto build_model = [&](std::size_t consumers) {
+    std::vector<int> minpts(consumers);
+    std::iota(minpts.begin(), minpts.end(), 4);
+    const ReuseReport report =
+        cluster_minpts_sweep(dev, points, 0.5f, minpts, 1, {}, nullptr,
+                             ClusterMode::kStreaming);
+    EXPECT_TRUE(report.streamed);
+    return report.modeled_table_seconds;
+  };
+  (void)build_model(1);  // warm the device's buffer pools
+  const double one = build_model(1);
+  const double eight = build_model(8);
+  EXPECT_GT(eight, 3.0 * one) << "one consumer " << one << " s, eight "
+                              << eight << " s";
+}
+
 // ---------------------------------------------------------------------------
 // dbscan_minpts_sweep: every minpts from one pass over T
 // ---------------------------------------------------------------------------

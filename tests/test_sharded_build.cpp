@@ -4,6 +4,7 @@
 // including under injected device loss (the shard re-partition rung).
 #include "core/sharded_build.hpp"
 
+#include "core/hybrid_dbscan.hpp"
 #include "core/pipeline.hpp"
 
 #include <gtest/gtest.h>
@@ -12,9 +13,11 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/shard_planner.hpp"
+#include "cudasim/buffer.hpp"
 #include "cudasim/buffer_pool.hpp"
 #include "cudasim/fault.hpp"
 #include "data/generators.hpp"
@@ -620,6 +623,94 @@ TEST(ShardedBuildPipeline, ByteBudgetOneItemMinimumDrainsShardedBuilds) {
     dev->pool().trim();
     EXPECT_EQ(dev->used_global_bytes(), 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The per-eps build stage: one routing rule behind every entry point
+// ---------------------------------------------------------------------------
+
+TEST(BuildStage, FleetOfOneTakesTheSingleDeviceBuilder) {
+  const Scenario s = make_scenario(2000, 0.35f, 32);
+  const int minpts = 4;
+  cudasim::Device reference({}, fast_options());
+  const ClusterResult want = hybrid_dbscan(reference, s.points, s.eps, minpts);
+  const std::vector<Variant> variants = {{s.eps, 4}, {s.eps, 8}};
+  obs::Registry& reg = obs::Registry::global();
+
+  for (const unsigned shards : {0u, 1u, 2u}) {
+    SCOPED_TRACE("num_shards " + std::to_string(shards));
+    const unsigned want_shards = shards <= 1 ? 0u : shards;
+    Fleet fleet = make_fleet(1);
+    ShardedBuildOptions options;
+    options.num_shards = shards;
+    HybridTimings t;
+    EXPECT_EQ(hybrid_dbscan(fleet.ptrs, s.points, s.eps, minpts, &t, options)
+                  .labels,
+              want.labels);
+    EXPECT_EQ(t.build_report.shards, want_shards);
+
+    // The pipeline reports no BuildReport per variant; the orchestrator's
+    // roll-up counter shows which builder ran.
+    reg.reset_values();
+    PipelineOptions popts;
+    popts.num_shards = shards;
+    const PipelineReport report =
+        run_multi_clustering(fleet.ptrs, s.points, variants, popts);
+    for (const VariantTiming& v : report.variants) EXPECT_TRUE(v.outcome.ok);
+    EXPECT_EQ(reg.counter("build_sharded_builds").value(),
+              shards <= 1 ? 0u : variants.size());
+  }
+}
+
+TEST(BuildStage, AlreadyLostDeviceClustersOnTheHost) {
+  const Scenario s = make_scenario(1500, 0.35f, 33);
+  const int minpts = 4;
+  cudasim::Device healthy({}, fast_options());
+  const ClusterResult want = hybrid_dbscan(healthy, s.points, s.eps, minpts);
+
+  for (const ClusterMode mode :
+       {ClusterMode::kBatchTable, ClusterMode::kStreaming,
+        ClusterMode::kFused}) {
+    cudasim::FaultPlan plan;
+    plan.lost_at_op = 1;
+    cudasim::Device device({}, faulted_options(plan));
+    EXPECT_THROW((void)cudasim::DeviceBuffer<int>(device, 16),
+                 cudasim::DeviceLost);
+    ASSERT_TRUE(device.lost());
+    HybridTimings t;
+    const ClusterResult got =
+        hybrid_dbscan(device, s.points, s.eps, minpts, &t, {}, mode);
+    EXPECT_EQ(got.labels, want.labels) << "mode " << static_cast<int>(mode);
+    EXPECT_TRUE(t.build_report.used_host_fallback);
+    EXPECT_TRUE(t.build_report.table_materialized);
+    EXPECT_FALSE(t.streamed);
+  }
+}
+
+TEST(BuildStage, FusedServesOneMinptsPerBuild) {
+  const Scenario s = make_scenario(1500, 0.35f, 34);
+  Fleet fleet = make_fleet(1);
+  const std::vector<int> distinct = {4, 8};
+  try {
+    (void)build_for_eps(fleet.ptrs, s.points, s.eps, distinct,
+                        ClusterMode::kFused, {});
+    ADD_FAILURE() << "two distinct minpts were accepted by the fused build";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("one minpts"), std::string::npos)
+        << e.what();
+  }
+
+  // Repeats of one value share the single fused consumer.
+  const std::vector<int> repeated = {4, 4};
+  const EpsBuild build = build_for_eps(fleet.ptrs, s.points, s.eps, repeated,
+                                       ClusterMode::kFused, {});
+  ASSERT_TRUE(build.streamed());
+  EXPECT_EQ(&build.consumer(0), &build.consumer(1));
+  EXPECT_FALSE(build.report.table_materialized);
+  cudasim::Device reference({}, fast_options());
+  EXPECT_EQ(unmap_labels(build.consumer(0).finalize(), build.original_ids)
+                .labels,
+            hybrid_dbscan(reference, s.points, s.eps, 4).labels);
 }
 
 }  // namespace

@@ -448,7 +448,8 @@ int cmd_chaos(int argc, char** argv) {
       kind == "uniform" ? data::generate_uniform(n, seed, 35.0f, 35.0f)
                         : data::make_dataset(kind, n);
   const GridIndex<Point2> index = build_grid_index(points, eps);
-  NeighborTable oracle = build_neighbor_table_host_parallel(index, eps);
+  NeighborTable oracle =
+      build_neighbor_table_host(index, eps, /*num_threads=*/0);
   oracle.canonicalize();
 
   cudasim::SimulationOptions sim;
@@ -576,7 +577,8 @@ int cmd_stream_smoke(int argc, char** argv) {
   const auto points = data::generate_space_weather(
       n, 9, {.width = 10.0f, .height = 10.0f});
   const GridIndex<Point2> index = build_grid_index(points, eps);
-  const NeighborTable oracle = build_neighbor_table_host_parallel(index, eps);
+  const NeighborTable oracle =
+      build_neighbor_table_host(index, eps, /*num_threads=*/0);
 
   cudasim::SimulationOptions opt;
   opt.throttle_transfers = false;
@@ -668,7 +670,8 @@ int cmd_shard_smoke(int argc, char** argv) {
   const auto points = data::generate_space_weather(
       n, 13, {.width = 10.0f, .height = 10.0f});
   const GridIndex<Point2> index = build_grid_index(points, eps);
-  NeighborTable oracle = build_neighbor_table_host_parallel(index, eps);
+  NeighborTable oracle =
+      build_neighbor_table_host(index, eps, /*num_threads=*/0);
 
   cudasim::SimulationOptions opt;
   opt.throttle_transfers = false;
@@ -775,10 +778,11 @@ int cmd_shard_smoke(int argc, char** argv) {
 // concurrently — the thread-sanitizer surface). Exits nonzero unless every
 // fused and streaming label vector is bit-identical to batch DBSCAN, no
 // table was materialized, fused D2H traffic (parked edges only) undercuts
-// the batch build's, fused-BVH beats streaming-grid on median modeled time
-// over kTrials runs each, and no device leaks. Modeled time includes
-// measured host CPU (expand, union, finalize), so a single pair of runs
-// flips under host load; every run still gets every other check.
+// the batch build's, fused-BVH beats streaming-grid on the median device
+// share of modeled time (modeled_gpu_table_seconds) over kTrials runs
+// each, and no device leaks. The device share is derived from counted
+// work; the modeled totals, which add measured host CPU (index build,
+// union, finalize) and so drift under host load, are printed alongside.
 int cmd_fused_smoke(int argc, char** argv) {
   const std::size_t n =
       argc >= 3 ? static_cast<std::size_t>(std::atoll(argv[2])) : 6000;
@@ -846,12 +850,15 @@ int cmd_fused_smoke(int argc, char** argv) {
   HybridTimings fb_t;
   std::vector<double> stream_modeled;
   std::vector<double> bvh_modeled;
+  std::vector<double> stream_device;
+  std::vector<double> bvh_device;
   for (int trial = 0; trial < kTrials; ++trial) {
     cudasim::Device stream_dev({}, opt);
     expect_identical(hybrid_dbscan(stream_dev, points, eps, minpts,
                                    &stream_t, {}, ClusterMode::kStreaming),
                      "streaming-grid");
     stream_modeled.push_back(stream_t.modeled_total_seconds);
+    stream_device.push_back(stream_t.modeled_gpu_table_seconds);
 
     cudasim::Device fused_bvh_dev({}, opt);
     expect_identical(hybrid_dbscan(fused_bvh_dev, points, eps, minpts, &fb_t,
@@ -870,9 +877,12 @@ int cmd_fused_smoke(int argc, char** argv) {
     }
     expect_leak_free(fused_bvh_dev, "fused-bvh device");
     bvh_modeled.push_back(fb_t.modeled_total_seconds);
+    bvh_device.push_back(fb_t.modeled_gpu_table_seconds);
   }
   const double stream_median = percentile(stream_modeled, 0.5);
   const double bvh_median = percentile(bvh_modeled, 0.5);
+  const double stream_device_median = percentile(stream_device, 0.5);
+  const double bvh_device_median = percentile(bvh_device, 0.5);
 
   // Fused BVH across two devices: interleaved batches union into one
   // shared AtomicUnionFind from concurrent pump threads.
@@ -906,18 +916,24 @@ int cmd_fused_smoke(int argc, char** argv) {
       static_cast<unsigned long long>(fb_t.build_report.d2h_bytes),
       static_cast<unsigned long long>(fb_t.build_report.total_pairs));
 
-  if (!(bvh_median < stream_median)) {
+  std::printf(
+      "fused_smoke: modeled device share stream-grid=%.6fs fused-bvh=%.6fs"
+      " (median of %d)\n",
+      stream_device_median, bvh_device_median, kTrials);
+
+  if (!(bvh_device_median < stream_device_median)) {
     std::fprintf(stderr,
-                 "fused_smoke FAILED: fused-BVH median modeled %.6fs does"
-                 " not beat streaming-grid %.6fs on the skewed workload\n",
-                 bvh_median, stream_median);
+                 "fused_smoke FAILED: fused-BVH median modeled device share"
+                 " %.6fs does not beat streaming-grid %.6fs on the skewed"
+                 " workload\n",
+                 bvh_device_median, stream_device_median);
     ++violations;
   }
   if (violations == 0) {
     std::printf("fused_smoke: all invariants held (labels bit-identical,"
                 " no table, fused-BVH %.2fx faster than streaming-grid"
-                " median modeled)\n",
-                stream_median / std::max(1e-12, bvh_median));
+                " median modeled device share)\n",
+                stream_device_median / std::max(1e-12, bvh_device_median));
   }
   return violations == 0 ? 0 : 1;
 }
