@@ -25,7 +25,6 @@
 #include "common/cancel.hpp"
 #include "common/request_context.hpp"
 #include "common/types.hpp"
-#include "index/index_backend.hpp"
 
 namespace hdbscan {
 
@@ -65,11 +64,6 @@ struct BatchPolicy {
   /// directly (callers that already know the result size, e.g. repeated
   /// runs; also how tests exercise the overflow-recovery path).
   std::uint64_t estimated_total_override = 0;
-  /// Which spatial index the traversal kernels run against. kBvh requires
-  /// the batched CSR pipeline (no shared kernel) and whole-index builds — sharded slabs keep the grid. The estimation
-  /// kernel always samples through the grid: the estimate is a property of
-  /// the data, not of the traversal structure.
-  IndexBackend index_backend = IndexBackend::kGrid;
   /// Deepest recursive overflow/out-of-memory split allowed: a batch may
   /// shrink to 1/2^max_split_depth of its planned size before the builder
   /// gives up on it. Guards against a pathological estimate looping

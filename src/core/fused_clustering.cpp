@@ -5,7 +5,6 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -14,11 +13,8 @@
 #include "cudasim/error.hpp"
 #include "cudasim/sort.hpp"
 #include "cudasim/stream.hpp"
-#include "gpu/bvh_device_index.hpp"
 #include "gpu/device_index.hpp"
 #include "gpu/kernels.hpp"
-#include "index/bvh.hpp"
-#include "index/rtree.hpp"
 #include "obs/trace.hpp"
 
 namespace hdbscan {
@@ -27,15 +23,17 @@ namespace {
 
 /// One (device, stream) traversal lane. Fused contexts hold no result
 /// buffers at all — the only per-context state is the stream, the device
-/// index view(s) and the private tallies harvested after the drain.
+/// index view and the private tallies harvested after the drain.
 struct FusedContext {
-  FusedContext(cudasim::Device& device_in, unsigned timeline_id_in)
-      : device(device_in), timeline_id(timeline_id_in), stream(device_in) {}
+  FusedContext(cudasim::Device& device_in, const GridView<Point2>& view_in,
+               unsigned timeline_id_in)
+      : device(device_in),
+        view(view_in),
+        timeline_id(timeline_id_in),
+        stream(device_in) {}
 
   cudasim::Device& device;
-  GridView<Point2> view{};     ///< kGrid traversal + batch-domain arithmetic
-  BvhView bvh_view{};  ///< kBvh traversal
-  IndexBackend backend = IndexBackend::kGrid;
+  GridView<Point2> view;
   unsigned timeline_id;
   cudasim::Stream stream;
 
@@ -157,12 +155,8 @@ void fused_pump(FusedContext& fc, FusedWorkQueue& queue,
       if (spec.points_in_batch(fc.view.query_count()) == 0) continue;
       TRACE_SPAN("fused", "fused_batch %u/%u d%u", spec.batch,
                  spec.num_batches, fc.device.id());
-      const cudasim::KernelStats stats =
-          fc.backend == IndexBackend::kBvh
-              ? gpu::run_fused_batch(fc.device, fc.bvh_view, eps, spec,
-                                     consumer, block_size)
-              : gpu::run_fused_batch(fc.device, fc.view, eps, spec,
-                                     consumer, block_size);
+      const cudasim::KernelStats stats = gpu::run_fused_batch(
+          fc.device, fc.view, eps, spec, consumer, block_size);
       ++fc.batches_run;
       fc.kernel_modeled += stats.modeled_seconds;
       fc.device_model += stats.modeled_seconds;
@@ -233,42 +227,25 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
   report.fused = true;
   report.streamed = true;
   report.table_materialized = false;
-  report.index_backend = policy.index_backend;
   const ResiliencePolicy& res = policy.resilience;
-  const bool use_bvh = policy.index_backend == IndexBackend::kBvh;
 
   // The host fallback: complete unfinished strided batches by delivering
   // host-searched rows into the same consumer, under the *same* ownership
-  // rule the device kernels used — the grid's forward stencil for kGrid,
-  // the R-tree/BVH id rule (partner id >= key, self included) for kBvh.
-  // Mixing rules would deliver some cross pairs twice and double their
-  // degree contributions.
-  std::optional<RTree> fallback_rtree;
+  // rule the device kernels used — the grid's forward stencil. Mixing
+  // rules would deliver some cross pairs twice and double their degree
+  // contributions.
   auto host_finish = [&](const FusedWorkItem& item) {
     TRACE_SPAN("host", "fused_host_fallback %u/%u", item.spec.batch,
                item.spec.num_batches);
-    if (use_bvh && !fallback_rtree) {
-      fallback_rtree.emplace(index.points, /*node_capacity=*/16u,
-                             RTreeBuild::kStrParallel);
-    }
     const auto n = static_cast<std::uint32_t>(index.query_count());
     const std::uint32_t zero = 0;
     std::vector<PointId> row;
-    std::vector<PointId> scratch;
     hdbscan::ThreadCpuTimer consume_timer;
     for (std::uint32_t k = item.spec.batch; k < n;
          k += item.spec.num_batches) {
       check_cancel(policy.cancel);
       row.clear();
-      if (use_bvh) {
-        scratch.clear();
-        fallback_rtree->query_circle(index.points[k], eps, scratch);
-        for (const PointId v : scratch) {
-          if (v >= k) row.push_back(v);
-        }
-      } else {
-        grid_query_forward(index, k, eps, row);
-      }
+      grid_query_forward(index, k, eps, row);
       consumer.consume(BatchDelivery{k, /*key_stride=*/1,
                                      /*counts_delivered=*/false,
                                      {&zero, 1}, row, {}});
@@ -278,47 +255,28 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
     ++report.host_fallback_batches;
   };
 
-  // Upload only what the chosen backend traverses: the grid arrays for
-  // kGrid, the packed BVH for kBvh. There is no estimation kernel — with
-  // no result buffers there is nothing to size — which is also why the
-  // BVH backend skips the grid upload entirely here, unlike the table
-  // builder.
+  // Upload the grid arrays once per device. There is no estimation kernel
+  // — with no result buffers there is nothing to size.
   struct FusedSlot {
     cudasim::Device* device;
     std::unique_ptr<gpu::GridDeviceIndex> grid_index;
-    std::unique_ptr<gpu::BvhDeviceIndex> bvh_index;
   };
-  std::optional<BvhIndex> host_bvh;
-  if (use_bvh) {
-    TRACE_SPAN("fused", "bvh_build n=%zu", index.size());
-    host_bvh.emplace(build_bvh_index(index.points));
-  }
   std::vector<FusedSlot> slots;
   slots.reserve(devices.size());
   std::exception_ptr setup_error;
-  std::uint64_t upload_bytes = 0;
+  const std::uint64_t upload_bytes =
+      index.points.size() * sizeof(Point2) +
+      index.cells.size() * sizeof(CellRange) +
+      index.lookup.size() * sizeof(PointId) +
+      index.nonempty_cells.size() * sizeof(std::uint32_t);
   for (cudasim::Device* device : devices) {
     try {
       TRACE_SPAN("fused", "index_upload d%u", device->id());
       cudasim::Stream upload_stream(*device);
-      FusedSlot slot{device, nullptr, nullptr};
-      if (use_bvh) {
-        slot.bvh_index = std::make_unique<gpu::BvhDeviceIndex>(
-            *device, upload_stream, *host_bvh);
-      } else {
-        slot.grid_index = std::make_unique<gpu::GridDeviceIndex>(
-            *device, upload_stream, index);
-      }
+      auto grid_index = std::make_unique<gpu::GridDeviceIndex>(
+          *device, upload_stream, index);
       upload_stream.synchronize();
-      if (upload_bytes == 0) {
-        upload_bytes =
-            use_bvh ? slot.bvh_index->upload_bytes()
-                    : index.points.size() * sizeof(Point2) +
-                          index.cells.size() * sizeof(CellRange) +
-                          index.lookup.size() * sizeof(PointId) +
-                          index.nonempty_cells.size() * sizeof(std::uint32_t);
-      }
-      slots.push_back(std::move(slot));
+      slots.push_back(FusedSlot{device, std::move(grid_index)});
     } catch (const cudasim::DeviceOutOfMemory&) {
       ++report.devices_lost;
       if (!setup_error) setup_error = std::current_exception();
@@ -344,19 +302,8 @@ BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
     for (FusedSlot& slot : slots) {
       for (unsigned s = 0; s < std::max(1u, policy.num_streams); ++s) {
         const auto id = static_cast<unsigned>(contexts.size());
-        contexts.push_back(std::make_unique<FusedContext>(*slot.device, id));
-        contexts.back()->backend = policy.index_backend;
-        if (use_bvh) {
-          contexts.back()->bvh_view = slot.bvh_index->view();
-          // The grid view is absent; only query_count() is consulted, so a
-          // minimal view carries the batch domain.
-          contexts.back()->view.num_points =
-              static_cast<std::uint32_t>(index.size());
-          contexts.back()->view.num_query =
-              static_cast<std::uint32_t>(index.query_count());
-        } else {
-          contexts.back()->view = slot.grid_index->view();
-        }
+        contexts.push_back(std::make_unique<FusedContext>(
+            *slot.device, slot.grid_index->view(), id));
       }
     }
 

@@ -18,9 +18,8 @@
 // retry the launch (injected faults fire before any block runs, so a
 // faulted launch mutated nothing and the retry is exactly-once), a lost
 // device's batches fail over to the survivors, and when no device remains
-// the unfinished batches complete on the host — through the packed STR
-// R-tree under the tree backends' id-ownership rule, or the grid's forward
-// stencil under IndexBackend::kGrid, so the pair cover never mixes rules.
+// the unfinished batches complete on the host through the grid's forward
+// stencil, the kernels' own cover, so the pair cover never mixes rules.
 #pragma once
 
 #include <vector>
@@ -37,10 +36,9 @@ namespace hdbscan {
 /// grid index fixes the id order exactly as for the table pipelines) and
 /// mutates `consumer`'s degrees and union-find in place. The caller owns
 /// finalize(): labels come from consumer.finalize() after this returns.
-/// Tests each pair once. Honors policy.index_backend (grid stencil vs
-/// packed-BVH traversal), the resilience ladder, cancellation and metrics
-/// labels; buffer and estimation fields are
-/// ignored — there is nothing to size or estimate.
+/// Tests each pair once over the grid's forward stencil. Honors the
+/// resilience ladder, cancellation and metrics labels; buffer and
+/// estimation fields are ignored — there is nothing to size or estimate.
 BuildReport fused_cluster(const std::vector<cudasim::Device*>& devices,
                           const GridIndex<Point2>& index, float eps,
                           StreamingDbscan& consumer,

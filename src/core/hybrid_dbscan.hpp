@@ -100,12 +100,11 @@ EpsBuild build_for_eps(const std::vector<cudasim::Device*>& devices,
 /// in the order of `points` (the grid index's internal reordering is
 /// unmapped before returning). ClusterMode::kStreaming clusters the CSR
 /// batches as the GPU produces them and never materializes T.
-/// ClusterMode::kFused goes further: the traversal
-/// kernel itself counts degrees and unions both-core edges
-/// (core/fused_clustering), so even the CSR passes and value transfers
-/// disappear — combine with policy.index_backend = IndexBackend::kBvh for
-/// the tree-traversal variant. Forwards to the fleet overload as a fleet
-/// of one; a device that is already lost yields host-built labels.
+/// ClusterMode::kFused goes further: the grid traversal kernel itself
+/// counts degrees and unions both-core edges (core/fused_clustering), so
+/// even the CSR passes and value transfers disappear. Forwards to the
+/// fleet overload as a fleet of one; a device that is already lost yields
+/// host-built labels.
 ClusterResult hybrid_dbscan(cudasim::Device& device,
                             std::span<const Point2> points, float eps,
                             int minpts, HybridTimings* timings = nullptr,

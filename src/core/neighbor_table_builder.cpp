@@ -5,7 +5,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,12 +16,9 @@
 #include "cudasim/error.hpp"
 #include "cudasim/sort.hpp"
 #include "cudasim/stream.hpp"
-#include "gpu/bvh_device_index.hpp"
 #include "gpu/device_index.hpp"
 #include "gpu/kernels.hpp"
 #include "gpu/result_sink.hpp"
-#include "index/bvh.hpp"
-#include "index/rtree.hpp"
 #include "obs/trace.hpp"
 
 namespace hdbscan {
@@ -60,11 +56,6 @@ struct StreamContext {
 
   cudasim::Device& device;
   GridView<Point2> view;
-  /// Which index the traversal kernels run against. kBvh contexts also
-  /// carry a device BVH view; the grid view stays for the batch-domain
-  /// arithmetic (query_count) and the estimation kernel.
-  IndexBackend backend = IndexBackend::kGrid;
-  BvhView bvh_view{};
   unsigned timeline_id;  ///< index into the per-context model timelines
   cudasim::Stream stream;
 
@@ -258,12 +249,8 @@ void process_batch_csr(StreamContext& sc, float eps, WorkItem& item,
   TRACE_SPAN("batch", "batch %u/%u d%u", spec.batch, spec.num_batches,
              sc.device.id());
 
-  const cudasim::KernelStats count_stats =
-      sc.backend == IndexBackend::kBvh
-          ? gpu::run_count_batch(sc.device, sc.bvh_view, eps, spec,
-                                 sc.counts.device_data(), block_size)
-          : gpu::run_count_batch(sc.device, sc.view, eps, spec,
-                                 sc.counts.device_data(), block_size);
+  const cudasim::KernelStats count_stats = gpu::run_count_batch(
+      sc.device, sc.view, eps, spec, sc.counts.device_data(), block_size);
   ++sc.batches_run;
   sc.kernel_modeled += count_stats.modeled_seconds;
   sc.device_model += count_stats.modeled_seconds;
@@ -322,13 +309,8 @@ void process_batch_csr(StreamContext& sc, float eps, WorkItem& item,
   }
 
   const cudasim::KernelStats fill_stats =
-      sc.backend == IndexBackend::kBvh
-          ? gpu::run_fill_csr(sc.device, sc.bvh_view, eps, spec,
-                              sc.counts.device_data(),
-                              sc.values.device_data(), block_size)
-          : gpu::run_fill_csr(sc.device, sc.view, eps, spec,
-                              sc.counts.device_data(),
-                              sc.values.device_data(), block_size);
+      gpu::run_fill_csr(sc.device, sc.view, eps, spec, sc.counts.device_data(),
+                        sc.values.device_data(), block_size);
   sc.kernel_modeled += fill_stats.modeled_seconds;
   sc.device_model += fill_stats.modeled_seconds;
   sc.atomic_ops += fill_stats.work.atomic_ops;
@@ -477,25 +459,11 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex<Point2>& index,
         "NeighborTableBuilder: materialize_table=false without a sink "
         "would discard the build");
   }
-  const bool use_bvh = policy_.index_backend == IndexBackend::kBvh;
-  if (use_bvh) {
-    if (policy_.use_shared_kernel) {
-      throw std::invalid_argument(
-          "NeighborTableBuilder: IndexBackend::kBvh has no shared-memory "
-          "kernel (the block-per-cell schedule is a grid concept)");
-    }
-    if (!index.emit_ids.empty() || index.query_count() != index.size()) {
-      throw std::invalid_argument(
-          "NeighborTableBuilder: IndexBackend::kBvh supports whole-index "
-          "builds only; sharded slabs keep the grid backend");
-    }
-  }
   const bool materialize = materialize_table;
   check_cancel(policy_.cancel);  // cheapest point to abandon: no device work yet
   WallTimer total_timer;
   BuildReport local_report;
   local_report.used_shared_kernel = policy_.use_shared_kernel;
-  local_report.index_backend = policy_.index_backend;
   local_report.streamed = sink != nullptr;
   local_report.table_materialized = materialize;
   const ResiliencePolicy& res = policy_.resilience;
@@ -514,7 +482,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex<Point2>& index,
     if (sink != nullptr) {
       // This rung only fires before any batch ran, so the sink has seen
       // nothing: deliver one forward row per key under the id rule
-      // (partners v >= k, self included), the BVH kernels' cover.
+      // (partners v >= k, self included), which covers each pair once.
       hdbscan::ThreadCpuTimer consume_timer;
       const std::uint32_t zero = 0;
       const auto nq = static_cast<std::uint32_t>(index.query_count());
@@ -548,18 +516,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex<Point2>& index,
   struct DeviceSlot {
     cudasim::Device* device;
     std::unique_ptr<gpu::GridDeviceIndex> dev_index;
-    std::unique_ptr<gpu::BvhDeviceIndex> bvh_index;  ///< kBvh builds only
   };
-  // The host BVH is built once over the index's reordered point array (so
-  // ids agree with the grid's), then replicated to every device exactly
-  // like the grid arrays. The grid index still uploads alongside it: the
-  // estimation kernel always samples through the grid, keeping e_b a
-  // property of the data rather than of the traversal structure.
-  std::optional<BvhIndex> host_bvh;
-  if (use_bvh) {
-    TRACE_SPAN("build", "bvh_build n=%zu", index.size());
-    host_bvh.emplace(build_bvh_index(index.points));
-  }
   std::vector<DeviceSlot> slots;
   slots.reserve(devices_.size());
   std::exception_ptr setup_error;
@@ -569,13 +526,8 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex<Point2>& index,
       cudasim::Stream upload_stream(*device);
       auto di = std::make_unique<gpu::GridDeviceIndex>(*device, upload_stream,
                                                        index);
-      std::unique_ptr<gpu::BvhDeviceIndex> bi;
-      if (host_bvh) {
-        bi = std::make_unique<gpu::BvhDeviceIndex>(*device, upload_stream,
-                                                   *host_bvh);
-      }
       upload_stream.synchronize();
-      slots.push_back(DeviceSlot{device, std::move(di), std::move(bi)});
+      slots.push_back(DeviceSlot{device, std::move(di)});
     } catch (const cudasim::DeviceOutOfMemory&) {
       ++local_report.devices_lost;
       if (!setup_error) setup_error = std::current_exception();
@@ -698,8 +650,7 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex<Point2>& index,
       index.cells.size() * sizeof(CellRange) +
       index.lookup.size() * sizeof(PointId) +
       index.nonempty_cells.size() * sizeof(std::uint32_t) +
-      index.emit_ids.size() * sizeof(PointId) +
-      (slots.front().bvh_index ? slots.front().bvh_index->upload_bytes() : 0);
+      index.emit_ids.size() * sizeof(PointId);
   double modeled_fixed =
       cudasim::modeled_transfer_seconds(cfg, upload_bytes, /*pinned=*/false) +
       local_report.estimate.kernel_stats.modeled_seconds;
@@ -797,10 +748,6 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex<Point2>& index,
                 *slot.device, slot.dev_index->view(),
                 local_report.plan.buffer_pairs, std::max(1u, max_batch_points),
                 id));
-            contexts.back()->backend = policy_.index_backend;
-            if (slot.bvh_index) {
-              contexts.back()->bvh_view = slot.bvh_index->view();
-            }
             contexts.back()->shard.reserve_values(
                 local_report.plan.estimated_total_pairs / num_contexts);
           }
@@ -897,29 +844,12 @@ NeighborTable NeighborTableBuilder::build_impl(const GridIndex<Point2>& index,
             std::to_string(unfinished) + " batches unfinished");
       }
       local_report.used_host_fallback = true;
-      // A degraded BVH build must finish its batches under the kernels'
-      // *id-based* cover, not the grid stencil's — mixing ownership
-      // rules within one build double-counts the cross pairs whose stencil
-      // owner differs from their id owner once the merged table expands.
-      // The host rung for the tree backends is the packed STR R-tree
-      // (parallel bulk load), searched through the same reordered ids.
-      std::optional<RTree> fallback_rtree;
       for (const WorkItem& item : queue.drain()) {
         check_cancel(policy_.cancel);  // host batches are slow; poll each one
         TRACE_SPAN("host", "host_fallback %u/%u", item.spec.batch,
                    item.spec.num_batches);
-        if (use_bvh) {
-          if (!fallback_rtree) {
-            fallback_rtree.emplace(index.points, /*node_capacity=*/16u,
-                                   RTreeBuild::kStrParallel);
-          }
-          host_shards.push_back(build_neighbor_table_host_strided_idrule(
-              index, *fallback_rtree, eps, item.spec.batch,
-              item.spec.num_batches));
-        } else {
-          host_shards.push_back(build_neighbor_table_host_strided(
-              index, eps, item.spec.batch, item.spec.num_batches));
-        }
+        host_shards.push_back(build_neighbor_table_host_strided(
+            index, eps, item.spec.batch, item.spec.num_batches));
         ++local_report.host_fallback_batches;
         local_report.total_pairs += host_shards.back().total_pairs();
         if (sink != nullptr) {

@@ -74,10 +74,6 @@ struct BuildReport {
   double sink_consume_seconds = 0.0;
 
   bool used_shared_kernel = false;
-  /// Spatial index the traversal kernels ran against (grid stencil vs
-  /// packed-BVH stack traversal). Affects the pair-ownership rule; see
-  /// IndexBackend.
-  IndexBackend index_backend = IndexBackend::kGrid;
 
   /// Modeled wall time of the whole T construction on the reference
   /// hardware (K20c + PCIe 2.0): index upload, estimation kernel, pinned

@@ -75,7 +75,7 @@ struct PipelineOptions {
   /// intra-variant overlap on top of the paper's inter-variant pipeline.
   /// kFused: the traversal kernel itself counts degrees and unions
   /// both-core edges (core/fused_clustering) — not even the CSR passes
-  /// run; honors policy.index_backend for grid-vs-BVH traversal.
+  /// run.
   ClusterMode cluster_mode = ClusterMode::kBatchTable;
   /// Fleet overload only: shards per variant's table build (0 = one shard
   /// per live device, the sharded orchestrator's default). The

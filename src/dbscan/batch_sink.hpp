@@ -21,8 +21,8 @@
 //    separately or must be derived from the row itself).
 //  * Rows are *forward* rows: every cross pair (k, v) appears in exactly
 //    one of its two rows, and row k holds self. Grid builds cover pairs by
-//    the stencil (same-cell ids >= k plus the forward stencil half); BVH
-//    builds and the whole-table host fallback cover them by id (v >= k).
+//    the stencil (same-cell ids >= k plus the forward stencil half); the
+//    whole-table host fallback covers them by id (v >= k).
 //    Counts are forward counts.
 #pragma once
 

@@ -380,41 +380,6 @@ NeighborTable build_neighbor_table_host_strided(const GridIndex<Point2>& index,
   return shard;
 }
 
-NeighborTable build_neighbor_table_host_strided_idrule(
-    const GridIndex<Point2>& index, const RTree& rtree, float eps,
-    std::uint32_t first_key, std::uint32_t key_stride) {
-  if (key_stride == 0) {
-    throw std::invalid_argument(
-        "build_neighbor_table_host_strided_idrule: stride 0");
-  }
-  if (rtree.size() != index.size()) {
-    throw std::invalid_argument(
-        "build_neighbor_table_host_strided_idrule: R-tree/index size mismatch");
-  }
-  NeighborTable shard(index.size());
-  const std::size_t n = index.query_count();
-  std::vector<PointId> neighbors;
-  std::vector<NeighborPair> pairs;
-  for (std::uint64_t key = first_key; key < n; key += key_stride) {
-    neighbors.clear();
-    rtree.query_circle(index.points[key], eps, neighbors);
-    pairs.clear();
-    pairs.reserve(neighbors.size());
-    for (const PointId v : neighbors) {
-      // The tree backends' cover: row `key` owns the pairs whose partner
-      // id is not below it (self included).
-      if (v < key) continue;
-      pairs.push_back({static_cast<PointId>(key), v});
-    }
-    std::sort(pairs.begin(), pairs.end(),
-              [](const NeighborPair& a, const NeighborPair& b) {
-                return a.value < b.value;
-              });
-    shard.append_sorted_batch(pairs);
-  }
-  return shard;
-}
-
 template <typename Point>
 NeighborTable build_neighbor_table_host(const GridIndex<Point>& index,
                                         float eps, unsigned num_threads) {

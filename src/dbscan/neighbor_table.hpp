@@ -18,7 +18,6 @@
 #include "common/default_init.hpp"
 #include "common/types.hpp"
 #include "index/grid_index.hpp"
-#include "index/rtree.hpp"
 
 namespace hdbscan {
 
@@ -178,18 +177,5 @@ NeighborTable build_neighbor_table_host_strided(const GridIndex<Point2>& index,
                                                 float eps,
                                                 std::uint32_t first_key,
                                                 std::uint32_t key_stride);
-
-/// Strided host fallback for IndexBackend::kBvh builds. The tree kernels
-/// have no forward stencil, so their cover is *id-based*: row k owns
-/// exactly the neighbors with id >= k (self included). A degraded BVH
-/// build must complete its unfinished batches under the same ownership
-/// rule — mixing in the grid's stencil rule would double-count cross pairs
-/// whose stencil owner differs from their id owner once the merged table
-/// is expanded. Neighborhoods are searched through `rtree` (the packed STR
-/// host index, built over the same reordered point array as `index`, so
-/// ids agree).
-NeighborTable build_neighbor_table_host_strided_idrule(
-    const GridIndex<Point2>& index, const RTree& rtree, float eps,
-    std::uint32_t first_key, std::uint32_t key_stride);
 
 }  // namespace hdbscan

@@ -61,53 +61,10 @@ void for_each_neighbor(const GridView<Point>& view, PointId pid,
   }
 }
 
-/// BVH overload of for_each_neighbor: explicit-stack traversal over the
-/// packed node array. Every visited node costs one node read and the
-/// min_dist2 prune (~8 ops); accepted leaves charge like a shared-kernel
-/// tile — candidate ids are read for the whole leaf (the id-ownership
-/// filter needs them), points and the 6-op distance test only for tested
-/// ones. Subtrees whose max_id < pid hold nothing row pid owns and are
-/// pruned before their MBR is even tested.
-template <typename Emit>
-void for_each_neighbor(const BvhView& view, PointId pid, const Point2& point,
-                       float eps2, cudasim::ThreadCtx& ctx, Emit&& emit) {
-  std::uint32_t stack[160];
-  unsigned depth = 0;
-  stack[depth++] = view.root;
-  std::uint64_t nodes_read = 0;
-  while (depth > 0) {
-    const BvhNode& node = view.nodes[stack[--depth]];
-    ++nodes_read;
-    if (node.max_id < pid) continue;
-    if (node.mbr.min_dist2(point) > eps2) continue;
-    if (node.leaf != 0) {
-      std::uint64_t tested = 0;
-      for (std::uint32_t i = node.first; i < node.first + node.count; ++i) {
-        const PointId cand = view.leaf_ids[i];
-        if (cand < pid) continue;  // id-ownership rule
-        ++tested;
-        if (dist2(point, view.leaf_points[i]) <= eps2) emit(cand);
-      }
-      ctx.count_global_bytes(
-          static_cast<std::uint64_t>(node.count) * sizeof(PointId) +
-          tested * sizeof(Point2));
-      ctx.count_flops(tested * PointTraits<Point2>::kFlopsPerTest);
-    } else {
-      for (std::uint32_t c = node.first; c < node.first + node.count; ++c) {
-        stack[depth++] = c;
-      }
-    }
-  }
-  ctx.count_global_bytes(nodes_read * sizeof(BvhNode));
-  ctx.count_flops(nodes_read * 8);
-}
-
 /// The id a kernel writes for candidate `c`. Grid views pass it through
 /// their value-emission map (identity on the full index; local->global on
 /// shard slabs, one extra 4 B read per emitted pair, which buys the merge
-/// freedom from ever touching individual pairs). BVH-backed builds are
-/// whole-index only (sharded slabs keep the grid backend), so the BVH
-/// emits resident ids.
+/// freedom from ever touching individual pairs).
 template <typename Point>
 PointId emitted(const GridView<Point>& view, PointId c,
                 cudasim::ThreadCtx& ctx) {
@@ -115,8 +72,6 @@ PointId emitted(const GridView<Point>& view, PointId c,
   ctx.count_global_bytes(sizeof(PointId));
   return view.emit_ids[c];
 }
-
-PointId emitted(const BvhView&, PointId c, cudasim::ThreadCtx&) { return c; }
 
 /// Per-thread body of GPUCalcGlobal (paper Alg. 2, with the batching
 /// transformation of §VI: the processed point is gid * n_b + l).
@@ -285,11 +240,10 @@ cudasim::KernelTask shared_kernel_thread(cudasim::CoopCtx& ctx,
 /// Pass 1 of the two-pass CSR builder: thread g counts the neighbors of
 /// its batch point and writes counts[g]. No atomics, no result
 /// materialization — an exclusive scan of `counts` then yields the exact
-/// CSR slot offsets for the fill pass. `View` is a grid view (2-D or 3-D)
-/// or the BVH.
-template <typename View>
+/// CSR slot offsets for the fill pass.
+template <typename Point>
 struct CountBatchKernelBody {
-  View view;
+  GridView<Point> view;
   float eps2;
   BatchSpec batch;
   std::uint32_t* counts;
@@ -316,9 +270,9 @@ struct CountBatchKernelBody {
 /// [offsets[g], offsets[g] + counts[g]). The offsets are exact, so the
 /// pass needs no atomics, no sort, and ships bare PointId values (half the
 /// bytes of a NeighborPair) over PCIe.
-template <typename View>
+template <typename Point>
 struct FillCsrKernelBody {
-  View view;
+  GridView<Point> view;
   float eps2;
   BatchSpec batch;
   const std::uint32_t* offsets;
@@ -344,8 +298,7 @@ struct FillCsrKernelBody {
 constexpr unsigned kFusedSpill = 256;
 
 /// Per-thread body of the fused no-table clustering kernel, shared by the
-/// 2-D and 3-D grids and the BVH (for_each_neighbor overloads dispatch to
-/// the grid stencil or the BVH stack).
+/// 2-D and 3-D grids.
 ///
 /// Degree handling: the thread's own contributions (self pair + every
 /// candidate it tests) accumulate in a register and land as ONE fetch_add
@@ -358,9 +311,9 @@ constexpr unsigned kFusedSpill = 256;
 ///
 /// Exactly-once: launches fault before any block runs (cudasim contract),
 /// so a failed batch contributed nothing and is safe to requeue whole.
-template <typename View>
+template <typename Point>
 struct FusedKernelBody {
-  View view;
+  GridView<Point> view;
   float eps2;
   BatchSpec batch;
   StreamingDbscan::FusedView fu;
@@ -484,34 +437,35 @@ cudasim::KernelStats run_calc_global(cudasim::Device& device,
                    GlobalKernelBody<Point>{view, eps * eps, batch, sink});
 }
 
-template <typename View>
+template <typename Point>
 cudasim::KernelStats run_count_batch(cudasim::Device& device,
-                                     const View& view, float eps,
+                                     const GridView<Point>& view, float eps,
                                      BatchSpec batch, std::uint32_t* counts,
                                      unsigned block_size) {
   return run_batch(device, batch.points_in_batch(view.query_count()),
                    block_size,
-                   CountBatchKernelBody<View>{view, eps * eps, batch, counts});
+                   CountBatchKernelBody<Point>{view, eps * eps, batch, counts});
 }
 
-template <typename View>
-cudasim::KernelStats run_fill_csr(cudasim::Device& device, const View& view,
+template <typename Point>
+cudasim::KernelStats run_fill_csr(cudasim::Device& device,
+                                  const GridView<Point>& view,
                                   float eps, BatchSpec batch,
                                   const std::uint32_t* offsets,
                                   PointId* values, unsigned block_size) {
   return run_batch(
       device, batch.points_in_batch(view.query_count()), block_size,
-      FillCsrKernelBody<View>{view, eps * eps, batch, offsets, values});
+      FillCsrKernelBody<Point>{view, eps * eps, batch, offsets, values});
 }
 
-template <typename View>
+template <typename Point>
 cudasim::KernelStats run_fused_batch(cudasim::Device& device,
-                                     const View& view, float eps,
+                                     const GridView<Point>& view, float eps,
                                      BatchSpec batch, StreamingDbscan& sink,
                                      unsigned block_size) {
   return run_batch(device, batch.points_in_batch(view.query_count()),
                    block_size,
-                   FusedKernelBody<View>{view, eps * eps, batch,
+                   FusedKernelBody<Point>{view, eps * eps, batch,
                                          sink.fused_view(), &sink});
 }
 
@@ -553,7 +507,7 @@ std::uint64_t run_count_kernel(cudasim::Device& device,
   return total.load(std::memory_order_relaxed);
 }
 
-// The grid kernels serve 2-D and 3-D points; the BVH is 2-D only.
+// Every grid kernel serves 2-D and 3-D points.
 #define HDBSCAN_GRID_KERNELS(Point)                                          \
   template cudasim::KernelStats run_calc_global(                             \
       cudasim::Device&, const GridView<Point>&, float, BatchSpec,            \
@@ -561,24 +515,18 @@ std::uint64_t run_count_kernel(cudasim::Device& device,
   template std::uint64_t run_count_kernel(cudasim::Device&,                  \
                                           const GridView<Point>&, float,     \
                                           std::uint32_t,                     \
-                                          cudasim::KernelStats*, unsigned);
-#define HDBSCAN_VIEW_KERNELS(View)                                           \
+                                          cudasim::KernelStats*, unsigned);  \
   template cudasim::KernelStats run_count_batch(                             \
-      cudasim::Device&, const View&, float, BatchSpec, std::uint32_t*,       \
-      unsigned);                                                             \
-  template cudasim::KernelStats run_fill_csr(cudasim::Device&, const View&,  \
-                                             float, BatchSpec,               \
-                                             const std::uint32_t*, PointId*, \
-                                             unsigned);                      \
+      cudasim::Device&, const GridView<Point>&, float, BatchSpec,            \
+      std::uint32_t*, unsigned);                                             \
+  template cudasim::KernelStats run_fill_csr(                                \
+      cudasim::Device&, const GridView<Point>&, float, BatchSpec,            \
+      const std::uint32_t*, PointId*, unsigned);                             \
   template cudasim::KernelStats run_fused_batch(                             \
-      cudasim::Device&, const View&, float, BatchSpec, StreamingDbscan&,     \
-      unsigned);
+      cudasim::Device&, const GridView<Point>&, float, BatchSpec,            \
+      StreamingDbscan&, unsigned);
 HDBSCAN_GRID_KERNELS(Point2)
 HDBSCAN_GRID_KERNELS(Point3)
-HDBSCAN_VIEW_KERNELS(GridView<Point2>)
-HDBSCAN_VIEW_KERNELS(GridView<Point3>)
-HDBSCAN_VIEW_KERNELS(BvhView)
 #undef HDBSCAN_GRID_KERNELS
-#undef HDBSCAN_VIEW_KERNELS
 
 }  // namespace hdbscan::gpu

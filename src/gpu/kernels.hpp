@@ -19,7 +19,7 @@
 // Each grid kernel body is written once over the point type: the
 // `GridView<Point>` templates below are instantiated for Point2 and Point3
 // (3-D cells have a 27-cell stencil, 13 of it forward, and a distance test
-// charges 9 FLOPs instead of 6). GPUCalcShared and the BVH are 2-D only.
+// charges 9 FLOPs instead of 6). GPUCalcShared is 2-D only.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +29,6 @@
 #include "cudasim/kernel.hpp"
 #include "dbscan/streaming_dbscan.hpp"
 #include "gpu/result_sink.hpp"
-#include "index/bvh.hpp"
 #include "index/grid_index.hpp"
 
 namespace hdbscan::gpu {
@@ -76,10 +75,9 @@ cudasim::KernelStats run_calc_shared(cudasim::Device& device,
 /// batch. Thread g writes the forward-row length of point g of the batch
 /// to counts[g] (counts must hold batch.points_in_batch(n) entries). No
 /// atomics — the host transpose restores back rows after the merge.
-/// `View` is GridView<Point2>, GridView<Point3> or BvhView (below).
-template <typename View>
+template <typename Point>
 cudasim::KernelStats run_count_batch(cudasim::Device& device,
-                                     const View& view, float eps,
+                                     const GridView<Point>& view, float eps,
                                      BatchSpec batch, std::uint32_t* counts,
                                      unsigned block_size = kDefaultBlockSize);
 
@@ -87,23 +85,13 @@ cudasim::KernelStats run_count_batch(cudasim::Device& device,
 /// CSR slots. `offsets` is the exclusive prefix scan of the pass-1 counts;
 /// thread g writes its neighbors at values[offsets[g]...]. No atomics, no
 /// sort needed afterwards.
-template <typename View>
-cudasim::KernelStats run_fill_csr(cudasim::Device& device, const View& view,
+template <typename Point>
+cudasim::KernelStats run_fill_csr(cudasim::Device& device,
+                                  const GridView<Point>& view,
                                   float eps, BatchSpec batch,
                                   const std::uint32_t* offsets,
                                   PointId* values,
                                   unsigned block_size = kDefaultBlockSize);
-
-// --- IndexBackend::kBvh traversal (View = BvhView) -----------------------
-//
-// Same per-point batching contract as the grid kernels, but candidates
-// come from a packed-BVH stack traversal (min_dist2 pruning against node
-// MBRs) instead of the grid stencil. The tree has no forward stencil, so
-// the half rule is id-based: row i owns exactly the candidates with
-// id >= i (self included) and subtrees whose max_id < i are pruned
-// outright. Every cross pair lands in exactly one row — the same cover
-// expand_half_table and the streaming consumer require — so the
-// merged/expanded table is identical to the grid backend's.
 
 // --- Fused no-table clustering traversal (ClusterMode::kFused) -----------
 //
@@ -117,11 +105,11 @@ cudasim::KernelStats run_fill_csr(cudasim::Device& device, const View& view,
 // for the compaction/finalize machinery to settle. The neighbor table is
 // never materialized: the only per-pair bytes are the parked-edge writes.
 
-/// Fused traversal over a grid (2-D or 3-D) or the BVH. Returns the
-/// launch's stats; degrees/unions/parked edges land in `sink`.
-template <typename View>
+/// Fused traversal over a 2-D or 3-D grid. Returns the launch's stats;
+/// degrees/unions/parked edges land in `sink`.
+template <typename Point>
 cudasim::KernelStats run_fused_batch(cudasim::Device& device,
-                                     const View& view, float eps,
+                                     const GridView<Point>& view, float eps,
                                      BatchSpec batch, StreamingDbscan& sink,
                                      unsigned block_size = kDefaultBlockSize);
 

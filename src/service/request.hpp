@@ -54,8 +54,7 @@ struct JobSpec {
   /// so no neighbor table is built, transferred, or cached. Fused jobs
   /// bypass the TableCache (there is nothing to reuse) but still coalesce
   /// — with other fused jobs of the same (dataset, eps, minpts), since
-  /// the union-find threshold is baked into the traversal. The index
-  /// backend comes from the service's BatchPolicy (--index=).
+  /// the union-find threshold is baked into the traversal.
   bool fused = false;
   /// Quality knob for this request (DESIGN.md §16). kExact (the default)
   /// inherits the service policy's quality; a non-exact spec overrides it

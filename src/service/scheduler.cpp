@@ -555,8 +555,7 @@ void ClusterService::process_group(PendingPtr leader,
   const JobSpec& lead = runnable.front()->spec;
   const Dataset& ds = datasets_.at(lead.dataset);
   const ClusterQuality quality = effective_quality(lead, options_.policy);
-  const TableCache::Key key{lead.dataset, eps_bits(lead.eps),
-                            options_.policy.index_backend};
+  const TableCache::Key key{lead.dataset, eps_bits(lead.eps)};
   const bool coalesced_build = runnable.size() > 1;
   if (coalesced_build) {
     std::lock_guard slock(stats_mutex_);
@@ -731,14 +730,19 @@ void ClusterService::process_group(PendingPtr leader,
   try {
     // Fused jobs (coalescing guaranteed equal minpts) take the no-table
     // traversal; with the cache off, a labels-only streaming build feeds
-    // one consumer per job; otherwise the table is built and cached, so
-    // cache-hit labels come from the same dbscan_neighbor_table a fresh
-    // build uses and are bit-identical to them.
+    // one consumer per distinct minpts; otherwise the table is built and
+    // cached, so cache-hit labels come from the same dbscan_neighbor_table
+    // a fresh build uses and are bit-identical to them.
     const ClusterMode mode = lead.fused         ? ClusterMode::kFused
                              : cache_.enabled() ? ClusterMode::kBatchTable
                                                 : ClusterMode::kStreaming;
-    std::vector<int> minpts;
-    for (const auto& job : runnable) minpts.push_back(job->spec.minpts);
+    std::vector<int> minpts;  // distinct, in first-seen order
+    for (const auto& job : runnable) {
+      if (std::find(minpts.begin(), minpts.end(), job->spec.minpts) ==
+          minpts.end()) {
+        minpts.push_back(job->spec.minpts);
+      }
+    }
     WallTimer build_wall_timer;
     EpsBuild build =
         build_for_eps(fleet, ds.points, lead.eps, minpts, mode, build_options);
@@ -755,14 +759,21 @@ void ClusterService::process_group(PendingPtr leader,
     provenance.device_id = dev;
 
     if (build.streamed()) {
-      for (std::size_t j = 0; j < runnable.size(); ++j) {
+      // finish() finalizes each minpts' consumer once; every job of that
+      // minpts shares its labels.
+      bool first = true;
+      for (auto& job : runnable) {
         finish(
-            *runnable[j],
-            [&](int) {
-              return build.consumer(j).finalize(options_.dbscan_threads);
+            *job,
+            [&](int m) {
+              const auto i = static_cast<std::size_t>(
+                  std::find(minpts.begin(), minpts.end(), m) -
+                  minpts.begin());
+              return build.consumer(i).finalize(options_.dbscan_threads);
             },
             build.original_ids, Stage::kStreamUnion,
-            j == 0 ? build.modeled_seconds : 0.0, build_wall, provenance);
+            first ? build.modeled_seconds : 0.0, build_wall, provenance);
+        first = false;
       }
       return;
     }

@@ -20,7 +20,6 @@
 
 #include "common/types.hpp"
 #include "dbscan/neighbor_table.hpp"
-#include "index/index_backend.hpp"
 
 namespace hdbscan::service {
 
@@ -46,16 +45,9 @@ class TableCache {
   struct Key {
     std::string dataset;
     std::uint32_t eps_bits = 0;  ///< bit pattern of the float eps
-    /// Build configuration the entry was produced under. A canonicalized
-    /// table is backend agnostic *when both paths are correct*, but keying
-    /// on it keeps a backend change from silently serving tables built by
-    /// a differently-validated path — an operator A/B-ing grid vs BVH sees
-    /// each backend populate (and hit) its own entries.
-    IndexBackend backend = IndexBackend::kGrid;
 
     bool operator==(const Key& o) const noexcept {
-      return eps_bits == o.eps_bits && backend == o.backend &&
-             dataset == o.dataset;
+      return eps_bits == o.eps_bits && dataset == o.dataset;
     }
   };
 
@@ -146,8 +138,7 @@ class TableCache {
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const noexcept {
-      return std::hash<std::string>{}(k.dataset) * 1000003u ^ k.eps_bits ^
-             (static_cast<std::size_t>(k.backend) * 0x9e3779b9u);
+      return std::hash<std::string>{}(k.dataset) * 1000003u ^ k.eps_bits;
     }
   };
 

@@ -1,5 +1,5 @@
 // Fused no-table clustering (ClusterMode::kFused): label bit-identity
-// against batch and streaming DBSCAN across backends, degenerate inputs
+// against batch and streaming DBSCAN across densities, degenerate inputs
 // and dimensions, the zero-table contract, and the degradation ladder —
 // scripted device loss fails over to survivors and randomized fault plans
 // (including total fleet loss with host fallback) never change a single
@@ -23,7 +23,6 @@
 #include "dbscan/neighbor_table.hpp"
 #include "dbscan/streaming_dbscan.hpp"
 #include "index/grid_index.hpp"
-#include "index/index_backend.hpp"
 
 namespace hdbscan {
 namespace {
@@ -54,15 +53,15 @@ struct Fleet {
 };
 
 // ---------------------------------------------------------------------------
-// 2-D equivalence: fused == streaming == batch, both backends
+// 2-D equivalence: fused == streaming == batch
 // ---------------------------------------------------------------------------
 
 class FusedEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<int, float, int, IndexBackend>> {};
+          std::tuple<int, float, int>> {};
 
 TEST_P(FusedEquivalence, LabelsBitIdenticalToBatchAndStreaming) {
-  const auto [family, eps, minpts, backend] = GetParam();
+  const auto [family, eps, minpts] = GetParam();
   const std::size_t n = 2500;
   const std::vector<Point2> points =
       family == 0 ? data::generate_uniform(n, 71, 10.0f, 10.0f)
@@ -78,22 +77,19 @@ TEST_P(FusedEquivalence, LabelsBitIdenticalToBatchAndStreaming) {
                     ClusterMode::kStreaming);
   EXPECT_EQ(streamed.labels, batch.labels);
 
-  BatchPolicy policy;
-  policy.index_backend = backend;
   HybridTimings timings;
   cudasim::Device fused_dev({}, fast_options());
   const ClusterResult fused =
-      hybrid_dbscan(fused_dev, points, eps, minpts, &timings, policy,
+      hybrid_dbscan(fused_dev, points, eps, minpts, &timings, {},
                     ClusterMode::kFused);
   EXPECT_EQ(fused.labels, batch.labels);
   EXPECT_EQ(fused.num_clusters, batch.num_clusters);
 
   // The no-table contract: nothing materialized, only parked edges
-  // crossed the bus, and the report owns up to the backend that ran.
+  // crossed the bus.
   EXPECT_TRUE(timings.fused);
   EXPECT_TRUE(timings.build_report.fused);
   EXPECT_FALSE(timings.build_report.table_materialized);
-  EXPECT_EQ(timings.build_report.index_backend, backend);
   EXPECT_GT(timings.build_report.total_pairs, 0u);
 }
 
@@ -101,13 +97,11 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, FusedEquivalence,
     ::testing::Combine(::testing::Values(0, 1),
                        ::testing::Values(0.2f, 0.5f),
-                       ::testing::Values(4, 16),
-                       ::testing::Values(IndexBackend::kGrid,
-                                         IndexBackend::kBvh)));
+                       ::testing::Values(4, 16)));
 
 TEST(FusedDbscan, DuplicatePointsCluster) {
   // 300 coincident points plus a sparse ring of strays: the duplicate pile
-  // exercises degree saturation and self-pair handling in one cell/leaf.
+  // exercises degree saturation and self-pair handling in one cell.
   std::vector<Point2> points(300, Point2{3.0f, 3.0f});
   Xoshiro256 rng(74);
   for (int i = 0; i < 200; ++i) {
@@ -115,23 +109,17 @@ TEST(FusedDbscan, DuplicatePointsCluster) {
   }
   cudasim::Device batch_dev({}, fast_options());
   const ClusterResult batch = hybrid_dbscan(batch_dev, points, 0.3f, 8);
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    SCOPED_TRACE(to_string(backend));
-    BatchPolicy policy;
-    policy.index_backend = backend;
-    cudasim::Device dev({}, fast_options());
-    const ClusterResult fused = hybrid_dbscan(
-        dev, points, 0.3f, 8, nullptr, policy, ClusterMode::kFused);
-    EXPECT_EQ(fused.labels, batch.labels);
-  }
+  cudasim::Device dev({}, fast_options());
+  const ClusterResult fused = hybrid_dbscan(dev, points, 0.3f, 8, nullptr, {},
+                                            ClusterMode::kFused);
+  EXPECT_EQ(fused.labels, batch.labels);
   EXPECT_GE(batch.num_clusters, 1);
 }
 
 TEST(FusedDbscan, ExactEpsBoundaryPairsAreNeighbors) {
   // Chains of points spaced exactly eps apart: the closed-ball (<=)
-  // semantic must hold identically in the fused traversal, on both
-  // backends, or the chain fragments.
+  // semantic must hold identically in the fused traversal, or the chain
+  // fragments.
   const float eps = 0.25f;
   std::vector<Point2> points;
   for (int c = 0; c < 4; ++c) {
@@ -143,16 +131,10 @@ TEST(FusedDbscan, ExactEpsBoundaryPairsAreNeighbors) {
   cudasim::Device batch_dev({}, fast_options());
   const ClusterResult batch = hybrid_dbscan(batch_dev, points, eps, 2);
   EXPECT_EQ(batch.num_clusters, 4);
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    SCOPED_TRACE(to_string(backend));
-    BatchPolicy policy;
-    policy.index_backend = backend;
-    cudasim::Device dev({}, fast_options());
-    const ClusterResult fused = hybrid_dbscan(
-        dev, points, eps, 2, nullptr, policy, ClusterMode::kFused);
-    EXPECT_EQ(fused.labels, batch.labels);
-  }
+  cudasim::Device dev({}, fast_options());
+  const ClusterResult fused =
+      hybrid_dbscan(dev, points, eps, 2, nullptr, {}, ClusterMode::kFused);
+  EXPECT_EQ(fused.labels, batch.labels);
 }
 
 // ---------------------------------------------------------------------------
@@ -239,14 +221,6 @@ Scenario make_scenario(std::size_t n, float eps, int minpts,
   return s;
 }
 
-/// Buffer/estimation policy fields are ignored by the fused path (nothing
-/// to size); only the backend, scan mode and resilience ladder matter.
-BatchPolicy chaos_policy(IndexBackend backend) {
-  BatchPolicy policy;
-  policy.index_backend = backend;
-  return policy;
-}
-
 void expect_exact(const Scenario& s, StreamingDbscan& consumer) {
   for (PointId i = 0; i < s.index.size(); ++i) {
     ASSERT_EQ(consumer.degree(i), s.oracle.neighbor_count(i))
@@ -257,81 +231,69 @@ void expect_exact(const Scenario& s, StreamingDbscan& consumer) {
 
 TEST(FusedChaos, DeviceLossFailsOverToSurvivorExactly) {
   const Scenario s = make_scenario(2500, 0.35f, 4, 77);
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    SCOPED_TRACE(to_string(backend));
-    cudasim::FaultPlan lost;
-    // The index upload is 4 allocations + 4 transfers = 8 ops; each fused
-    // batch is one launch after that. Op 11 is that device's third batch:
-    // a loss mid-traversal with work left to orphan.
-    lost.lost_at_op = 11;
-    Fleet fleet;
-    fleet.add(fast_options());
-    fleet.add(faulted_options(lost));
+  cudasim::FaultPlan lost;
+  // The index upload is 4 allocations + 4 transfers = 8 ops; each fused
+  // batch is one launch after that. Op 11 is that device's third batch:
+  // a loss mid-traversal with work left to orphan.
+  lost.lost_at_op = 11;
+  Fleet fleet;
+  fleet.add(fast_options());
+  fleet.add(faulted_options(lost));
 
-    StreamingDbscan consumer(s.index.size(), s.minpts);
-    const BuildReport report = fused_cluster(fleet.ptrs, s.index, s.eps,
-                                             consumer, chaos_policy(backend));
+  StreamingDbscan consumer(s.index.size(), s.minpts);
+  const BuildReport report =
+      fused_cluster(fleet.ptrs, s.index, s.eps, consumer);
 
-    EXPECT_EQ(report.devices_lost, 1u);
-    EXPECT_GT(report.failover_batches, 0u);
-    EXPECT_FALSE(report.used_host_fallback);
-    EXPECT_FALSE(report.table_materialized);
-    expect_exact(s, consumer);
+  EXPECT_EQ(report.devices_lost, 1u);
+  EXPECT_GT(report.failover_batches, 0u);
+  EXPECT_FALSE(report.used_host_fallback);
+  EXPECT_FALSE(report.table_materialized);
+  expect_exact(s, consumer);
 
-    // The survivor returned every pooled buffer.
-    for (const auto& dev : fleet.owned) {
-      if (dev->lost()) continue;
-      dev->pool().trim();
-      EXPECT_EQ(dev->used_global_bytes(), 0u);
-    }
+  // The survivor returned every pooled buffer.
+  for (const auto& dev : fleet.owned) {
+    if (dev->lost()) continue;
+    dev->pool().trim();
+    EXPECT_EQ(dev->used_global_bytes(), 0u);
   }
 }
 
 TEST(FusedChaos, TotalFleetLossCompletesOnHostExactly) {
-  // Both backends must fall back under their own pair-ownership rule —
-  // the BVH id rule via the R-tree, the grid's forward stencil — or the
-  // degree parity check below catches the double-counted cross pairs.
+  // The host rung must finish under the kernels' own pair-ownership rule
+  // — the grid's forward stencil — or the degree parity check below
+  // catches the double-counted cross pairs.
   const Scenario s = make_scenario(1500, 0.35f, 4, 78);
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    SCOPED_TRACE(to_string(backend));
-    cudasim::FaultPlan lost;
-    lost.lost_at_op = 10;  // second batch launch of the only device
-    Fleet fleet;
-    fleet.add(faulted_options(lost));
+  cudasim::FaultPlan lost;
+  lost.lost_at_op = 10;  // second batch launch of the only device
+  Fleet fleet;
+  fleet.add(faulted_options(lost));
 
-    StreamingDbscan consumer(s.index.size(), s.minpts);
-    BatchPolicy policy = chaos_policy(backend);
-    policy.resilience.host_fallback = true;
-    const BuildReport report =
-        fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
+  StreamingDbscan consumer(s.index.size(), s.minpts);
+  BatchPolicy policy;
+  policy.resilience.host_fallback = true;
+  const BuildReport report =
+      fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
 
-    EXPECT_TRUE(report.used_host_fallback);
-    EXPECT_GT(report.host_fallback_batches, 0u);
-    EXPECT_EQ(report.devices_lost, 1u);
-    expect_exact(s, consumer);
-  }
+  EXPECT_TRUE(report.used_host_fallback);
+  EXPECT_GT(report.host_fallback_batches, 0u);
+  EXPECT_EQ(report.devices_lost, 1u);
+  expect_exact(s, consumer);
 }
 
 TEST(FusedChaos, RandomizedFaultPlansKeepLabelsExact) {
   const Scenario s = make_scenario(1500, 0.35f, 4, 79);
-  for (const IndexBackend backend :
-       {IndexBackend::kGrid, IndexBackend::kBvh}) {
-    for (const std::uint64_t seed : {5ull, 17ull, 42ull}) {
-      SCOPED_TRACE(std::string(to_string(backend)) + " fault seed " +
-                   std::to_string(seed));
-      Fleet fleet;
-      for (int d = 0; d < 3; ++d) {
-        fleet.add(faulted_options(
-            cudasim::FaultPlan::randomized(seed + 100ull * d)));
-      }
-      StreamingDbscan consumer(s.index.size(), s.minpts);
-      BatchPolicy policy = chaos_policy(backend);
-      policy.resilience.host_fallback = true;  // survive total loss
-      (void)fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
-      expect_exact(s, consumer);
+  for (const std::uint64_t seed : {5ull, 17ull, 42ull}) {
+    SCOPED_TRACE("fault seed " + std::to_string(seed));
+    Fleet fleet;
+    for (int d = 0; d < 3; ++d) {
+      fleet.add(faulted_options(
+          cudasim::FaultPlan::randomized(seed + 100ull * d)));
     }
+    StreamingDbscan consumer(s.index.size(), s.minpts);
+    BatchPolicy policy;
+    policy.resilience.host_fallback = true;  // survive total loss
+    (void)fused_cluster(fleet.ptrs, s.index, s.eps, consumer, policy);
+    expect_exact(s, consumer);
   }
 }
 

@@ -189,20 +189,6 @@ TEST(TableCacheTest, PinnedEntryIsNeverEvictedWhileInFlight) {
   EXPECT_LE(cache.resident_bytes(), 150u);
 }
 
-/// Regression: the cache key must include the index backend. A backend
-/// A/B (grid vs BVH) over the same (dataset, eps) would otherwise serve
-/// one variant's table as the other's measurement.
-TEST(TableCacheTest, KeyIncludesBackend) {
-  TableCache cache(1000);
-  const TableCache::Key grid{"d", 1, IndexBackend::kGrid};
-  { auto h = cache.insert(grid, make_entry(4, 100)); }
-  EXPECT_TRUE(cache.contains(grid));
-  EXPECT_FALSE(cache.find({"d", 1, IndexBackend::kBvh}));
-  // Both variants coexist as distinct entries.
-  { auto h = cache.insert({"d", 1, IndexBackend::kBvh}, make_entry(4, 100)); }
-  EXPECT_EQ(cache.size(), 2u);
-}
-
 TEST(TableCacheTest, RacingInsertAdoptsThePinnedIncumbent) {
   TableCache cache(1000);
   TableCache::Handle first = cache.insert({"d", 1}, make_entry(4, 100));
@@ -528,33 +514,61 @@ TEST(ClusterServiceTest, CoalescedGroupSharesOneBuild) {
   EXPECT_EQ(results[0].labels, results[2].labels);
 }
 
-/// The cache-off path streams one build into one union-find consumer per
-/// group job. Their unions run on the build's stream threads, so the
-/// build's modeled time must cover them: on dense data, where the unions
-/// dwarf the modeled table build, eight consumers cost far more than one.
-TEST(ClusterServiceTest, StreamingBuildChargesTheConsumersUnionWork) {
-  ServiceFixture f;
-  f.points = data::generate_uniform(3000, 6, 2.0f, 2.0f);  // ~590 nbrs/pt
+/// Replays `jobs` as one coalesced group on the cache-off path, which
+/// streams one build into one union-find consumer per distinct minpts.
+struct StreamingGroupRun {
+  std::vector<JobResult> results;
+  double charged = 0.0;  ///< the leader carries the build's modeled time
+};
+
+StreamingGroupRun run_streaming_group(ServiceFixture& f,
+                                      const std::vector<JobSpec>& jobs) {
   ServiceOptions opt;
   opt.num_workers = 1;
   opt.cache_bytes_budget = 0;  // FanoutSink streaming path
-  auto build_model = [&](std::size_t group) {
-    auto svc = f.make(opt);
-    const auto results =
-        svc->replay(std::vector<JobSpec>(group, job(0.5f, 4)));
-    double charged = 0.0;  // the leader carries the build's modeled time
-    for (const JobResult& r : results) {
-      EXPECT_EQ(r.state, JobState::kCompleted);
-      charged = std::max(charged, r.modeled_device_seconds);
-    }
-    EXPECT_EQ(svc->stats().coalesced_jobs, group - 1);
-    return charged;
-  };
-  (void)build_model(1);  // warm the device's buffer pools
-  const double one = build_model(1);
-  const double eight = build_model(8);
+  opt.keep_labels = true;
+  auto svc = f.make(opt);
+  StreamingGroupRun run;
+  run.results = svc->replay(jobs);
+  for (const JobResult& r : run.results) {
+    EXPECT_EQ(r.state, JobState::kCompleted);
+    run.charged = std::max(run.charged, r.modeled_device_seconds);
+  }
+  EXPECT_EQ(svc->stats().coalesced_jobs, jobs.size() - 1);
+  return run;
+}
+
+/// The consumers' unions run on the build's stream threads, so the build's
+/// modeled time must cover them: on dense data, where the unions dwarf the
+/// modeled table build, eight distinct-minpts consumers cost far more than
+/// one.
+TEST(ClusterServiceTest, StreamingBuildChargesTheConsumersUnionWork) {
+  ServiceFixture f;
+  f.points = data::generate_uniform(3000, 6, 2.0f, 2.0f);  // ~590 nbrs/pt
+  (void)run_streaming_group(f, {job(0.5f, 4)});  // warm the buffer pools
+  const double one = run_streaming_group(f, {job(0.5f, 4)}).charged;
+  std::vector<JobSpec> distinct;
+  for (int m = 4; m < 12; ++m) distinct.push_back(job(0.5f, m));
+  const double eight = run_streaming_group(f, distinct).charged;
   EXPECT_GT(eight, 3.0 * one) << "one consumer " << one << " s, eight "
                               << eight << " s";
+}
+
+/// Jobs that share a minpts share one consumer: eight identical jobs get
+/// one job's labels and are charged for one consumer's unions.
+TEST(ClusterServiceTest, StreamingGroupSharesOneConsumerPerMinpts) {
+  ServiceFixture f;
+  f.points = data::generate_uniform(3000, 6, 2.0f, 2.0f);
+  (void)run_streaming_group(f, {job(0.5f, 4)});  // warm the buffer pools
+  const StreamingGroupRun one = run_streaming_group(f, {job(0.5f, 4)});
+  const StreamingGroupRun eight =
+      run_streaming_group(f, std::vector<JobSpec>(8, job(0.5f, 4)));
+  ASSERT_EQ(eight.results.size(), 8u);
+  for (const JobResult& r : eight.results) {
+    EXPECT_EQ(r.labels, one.results.front().labels);
+  }
+  EXPECT_LT(eight.charged, 2.0 * one.charged)
+      << "one job " << one.charged << " s, eight " << eight.charged << " s";
 }
 
 TEST(ClusterServiceTest, CoalescedCacheGroupSharesLabelsPerMinpts) {

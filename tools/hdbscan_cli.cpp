@@ -126,7 +126,7 @@ int usage() {
       "usage:\n"
       "  hdbscan_cli gen <SW1|SW4|SDSS1|SDSS2|SDSS3|uniform> <n> <out>\n"
       "  hdbscan_cli cluster <in> <eps> <minpts> [labels_out] [--map]"
-      " [--streaming] [--fused] [--index=grid|bvh] [--shards k]\n"
+      " [--streaming] [--fused] [--shards k]\n"
       "               [--quality=exact|cellgraph]\n"
       "  hdbscan_cli sweep <in> <eps_lo> <eps_hi> <step> <minpts>\n"
       "  hdbscan_cli reuse <in> <eps> <minpts,minpts,...> [threads]\n"
@@ -184,11 +184,12 @@ int cmd_gen(int argc, char** argv) {
 }
 
 int cmd_cluster(int argc, char** argv) {
-  // Strip --streaming/--fused/--index/--shards wherever they appear so the
-  // positional args keep their places.
+  // Strip --streaming/--fused/--quality/--shards wherever they appear so
+  // the positional args keep their places. Any other "--" argument except
+  // --map is refused here, before a file is read or written: a typo must
+  // not become the labels file's name.
   bool streaming = false;
   bool fused = false;
-  IndexBackend backend = IndexBackend::kGrid;
   unsigned shards = 0;
   ClusterQuality quality = ClusterQuality::kExact;
   for (int i = 2; i < argc;) {
@@ -208,21 +209,16 @@ int cmd_cluster(int argc, char** argv) {
       }
       quality = *parsed;
       consumed = 1;
-    } else if (std::strncmp(argv[i], "--index=", 8) == 0) {
-      const auto parsed = parse_index_backend(argv[i] + 8);
-      if (!parsed) {
-        std::fprintf(stderr, "cluster: unknown index backend '%s'"
-                     " (grid|bvh)\n", argv[i] + 8);
-        return 2;
-      }
-      backend = *parsed;
-      consumed = 1;
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       shards = static_cast<unsigned>(std::max(1, std::atoi(argv[i + 1])));
       consumed = 2;
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
       shards = static_cast<unsigned>(std::max(1, std::atoi(argv[i] + 9)));
       consumed = 1;
+    } else if (std::strncmp(argv[i], "--", 2) == 0 &&
+               std::strcmp(argv[i], "--map") != 0) {
+      std::fprintf(stderr, "cluster: unknown option '%s'\n", argv[i]);
+      return 2;
     }
     if (consumed == 0) {
       ++i;
@@ -247,7 +243,6 @@ int cmd_cluster(int argc, char** argv) {
                            : streaming ? ClusterMode::kStreaming
                                        : ClusterMode::kBatchTable;
   BatchPolicy policy;
-  policy.index_backend = backend;
   policy.quality = quality;
 
   HybridTimings timings;
@@ -298,11 +293,8 @@ int cmd_cluster(int argc, char** argv) {
                 timings.finalize_seconds, timings.peak_consumer_bytes);
   }
   if (timings.fused) {
-    std::printf("fused [%s index]: no table materialized, %llu pairs"
-                " traversed, %llu parked-edge bytes D2H\n",
-                std::string(to_string(
-                                timings.build_report.index_backend))
-                    .c_str(),
+    std::printf("fused: no table materialized, %llu pairs traversed,"
+                " %llu parked-edge bytes D2H\n",
                 static_cast<unsigned long long>(
                     timings.build_report.total_pairs),
                 static_cast<unsigned long long>(
@@ -772,25 +764,25 @@ int cmd_shard_smoke(int argc, char** argv) {
 }
 
 // Fused no-table gate (the fused_smoke CTest target): clusters a skewed
-// dataset four ways — batch table (the oracle), streaming-grid, fused on
-// the grid backend, and fused on the BVH backend (the latter also across
-// two devices, so the fused pump threads and the shared union-find run
-// concurrently — the thread-sanitizer surface). Exits nonzero unless every
-// fused and streaming label vector is bit-identical to batch DBSCAN, no
-// table was materialized, fused D2H traffic (parked edges only) undercuts
-// the batch build's, fused-BVH beats streaming-grid on the median device
-// share of modeled time (modeled_gpu_table_seconds) over kTrials runs
-// each, and no device leaks. The device share is derived from counted
-// work; the modeled totals, which add measured host CPU (index build,
-// union, finalize) and so drift under host load, are printed alongside.
+// dataset three ways — batch table (the oracle), streaming-grid and fused
+// (the latter also across two devices, so the fused pump threads and the
+// shared union-find run concurrently — the thread-sanitizer surface).
+// Exits nonzero unless every fused and streaming label vector is
+// bit-identical to batch DBSCAN, no table was materialized, fused D2H
+// traffic (parked edges only) undercuts the batch build's, fused beats
+// streaming-grid on the median device share of modeled time
+// (modeled_gpu_table_seconds) over kTrials runs each, and no device leaks.
+// The device share is derived from counted work; the modeled totals, which
+// add measured host CPU (index build, union, finalize) and so drift under
+// host load, are printed alongside.
 int cmd_fused_smoke(int argc, char** argv) {
   const std::size_t n =
       argc >= 3 ? static_cast<std::size_t>(std::atoll(argv[2])) : 6000;
   const float eps = 0.35f;
   const int minpts = 4;
   constexpr int kTrials = 5;
-  // Skewed density: the workload where leaf-pruned BVH traversal beats
-  // eps-cell stenciling (overflowing hot cells).
+  // Skewed density: overflowing hot cells, where the table paths pay most
+  // for their CSR passes and transfers.
   const auto points = data::generate_space_weather(
       n, 21, {.width = 10.0f, .height = 10.0f});
 
@@ -832,26 +824,14 @@ int cmd_fused_smoke(int argc, char** argv) {
     }
   };
 
-  // Fused on the grid backend, single device.
-  HybridTimings fg_t;
-  cudasim::Device fused_grid_dev({}, opt);
-  expect_identical(hybrid_dbscan(fused_grid_dev, points, eps, minpts, &fg_t,
-                                 {}, ClusterMode::kFused),
-                   "fused-grid");
-  expect_no_table(fg_t);
-  expect_leak_free(fused_grid_dev, "fused-grid device");
-
-  // Streaming-grid (the fastest pre-existing mode, the bar to beat) against
-  // fused on the BVH backend, single device (the modeled-time contender),
-  // each on fresh devices per trial.
-  BatchPolicy bvh_policy;
-  bvh_policy.index_backend = IndexBackend::kBvh;
+  // Streaming-grid (the fastest table-free mode before fusion, the bar to
+  // beat) against fused, single device, each on fresh devices per trial.
   HybridTimings stream_t;
-  HybridTimings fb_t;
+  HybridTimings fused_t;
   std::vector<double> stream_modeled;
-  std::vector<double> bvh_modeled;
+  std::vector<double> fused_modeled;
   std::vector<double> stream_device;
-  std::vector<double> bvh_device;
+  std::vector<double> fused_device;
   for (int trial = 0; trial < kTrials; ++trial) {
     cudasim::Device stream_dev({}, opt);
     expect_identical(hybrid_dbscan(stream_dev, points, eps, minpts,
@@ -860,32 +840,32 @@ int cmd_fused_smoke(int argc, char** argv) {
     stream_modeled.push_back(stream_t.modeled_total_seconds);
     stream_device.push_back(stream_t.modeled_gpu_table_seconds);
 
-    cudasim::Device fused_bvh_dev({}, opt);
-    expect_identical(hybrid_dbscan(fused_bvh_dev, points, eps, minpts, &fb_t,
-                                   bvh_policy, ClusterMode::kFused),
-                     "fused-bvh");
-    expect_no_table(fb_t);
-    if (fb_t.build_report.d2h_bytes >= batch_t.build_report.d2h_bytes) {
+    cudasim::Device fused_dev({}, opt);
+    expect_identical(hybrid_dbscan(fused_dev, points, eps, minpts, &fused_t,
+                                   {}, ClusterMode::kFused),
+                     "fused-grid");
+    expect_no_table(fused_t);
+    if (fused_t.build_report.d2h_bytes >= batch_t.build_report.d2h_bytes) {
       std::fprintf(stderr,
                    "fused_smoke FAILED: fused D2H (%llu B) does not undercut"
                    " the batch build (%llu B)\n",
                    static_cast<unsigned long long>(
-                       fb_t.build_report.d2h_bytes),
+                       fused_t.build_report.d2h_bytes),
                    static_cast<unsigned long long>(
                        batch_t.build_report.d2h_bytes));
       ++violations;
     }
-    expect_leak_free(fused_bvh_dev, "fused-bvh device");
-    bvh_modeled.push_back(fb_t.modeled_total_seconds);
-    bvh_device.push_back(fb_t.modeled_gpu_table_seconds);
+    expect_leak_free(fused_dev, "fused-grid device");
+    fused_modeled.push_back(fused_t.modeled_total_seconds);
+    fused_device.push_back(fused_t.modeled_gpu_table_seconds);
   }
   const double stream_median = percentile(stream_modeled, 0.5);
-  const double bvh_median = percentile(bvh_modeled, 0.5);
+  const double fused_median = percentile(fused_modeled, 0.5);
   const double stream_device_median = percentile(stream_device, 0.5);
-  const double bvh_device_median = percentile(bvh_device, 0.5);
+  const double fused_device_median = percentile(fused_device, 0.5);
 
-  // Fused BVH across two devices: interleaved batches union into one
-  // shared AtomicUnionFind from concurrent pump threads.
+  // Fused across two devices: interleaved batches union into one shared
+  // AtomicUnionFind from concurrent pump threads.
   std::vector<std::unique_ptr<cudasim::Device>> fleet;
   std::vector<cudasim::Device*> fleet_ptrs;
   for (unsigned d = 0; d < 2; ++d) {
@@ -893,47 +873,43 @@ int cmd_fused_smoke(int argc, char** argv) {
         std::make_unique<cudasim::Device>(cudasim::DeviceConfig{}, opt));
     fleet_ptrs.push_back(fleet.back().get());
   }
-  ShardedBuildOptions fleet_opt;
-  fleet_opt.policy = bvh_policy;
   HybridTimings fleet_t;
   expect_identical(hybrid_dbscan(fleet_ptrs, points, eps, minpts, &fleet_t,
-                                 fleet_opt, ClusterMode::kFused),
-                   "fused-bvh two-device");
+                                 ShardedBuildOptions{}, ClusterMode::kFused),
+                   "fused-grid two-device");
   expect_no_table(fleet_t);
   for (auto& d : fleet) expect_leak_free(*d, "fleet device");
 
   std::printf(
-      "fused_smoke: n=%zu modeled batch=%.6fs stream-grid=%.6fs (median of"
-      " %d) fused-grid=%.6fs fused-bvh=%.6fs (median of %d)"
-      " fused-bvh-x2=%.6fs\n",
-      points.size(), batch_t.modeled_total_seconds, stream_median, kTrials,
-      fg_t.modeled_total_seconds, bvh_median, kTrials,
-      fleet_t.modeled_total_seconds);
+      "fused_smoke: n=%zu modeled batch=%.6fs stream-grid=%.6fs"
+      " fused-grid=%.6fs (median of %d) fused-grid-x2=%.6fs\n",
+      points.size(), batch_t.modeled_total_seconds, stream_median,
+      fused_median, kTrials, fleet_t.modeled_total_seconds);
   std::printf(
-      "fused_smoke: d2h batch=%llu fused-bvh=%llu (parked edges only),"
+      "fused_smoke: d2h batch=%llu fused-grid=%llu (parked edges only),"
       " pairs traversed=%llu\n",
       static_cast<unsigned long long>(batch_t.build_report.d2h_bytes),
-      static_cast<unsigned long long>(fb_t.build_report.d2h_bytes),
-      static_cast<unsigned long long>(fb_t.build_report.total_pairs));
+      static_cast<unsigned long long>(fused_t.build_report.d2h_bytes),
+      static_cast<unsigned long long>(fused_t.build_report.total_pairs));
 
   std::printf(
-      "fused_smoke: modeled device share stream-grid=%.6fs fused-bvh=%.6fs"
+      "fused_smoke: modeled device share stream-grid=%.6fs fused-grid=%.6fs"
       " (median of %d)\n",
-      stream_device_median, bvh_device_median, kTrials);
+      stream_device_median, fused_device_median, kTrials);
 
-  if (!(bvh_device_median < stream_device_median)) {
+  if (!(fused_device_median < stream_device_median)) {
     std::fprintf(stderr,
-                 "fused_smoke FAILED: fused-BVH median modeled device share"
+                 "fused_smoke FAILED: fused-grid median modeled device share"
                  " %.6fs does not beat streaming-grid %.6fs on the skewed"
                  " workload\n",
-                 bvh_device_median, stream_device_median);
+                 fused_device_median, stream_device_median);
     ++violations;
   }
   if (violations == 0) {
     std::printf("fused_smoke: all invariants held (labels bit-identical,"
-                " no table, fused-BVH %.2fx faster than streaming-grid"
+                " no table, fused-grid %.2fx faster than streaming-grid"
                 " median modeled device share)\n",
-                stream_device_median / std::max(1e-12, bvh_device_median));
+                stream_device_median / std::max(1e-12, fused_device_median));
   }
   return violations == 0 ? 0 : 1;
 }
